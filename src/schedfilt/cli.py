@@ -338,7 +338,7 @@ def cmd_filter(args) -> int:
                     reporting_times=reporting,
                     phis=phis,
                 )
-                header = ["t", "phi_name", "estimate", "bootstrap_se", "ess", "log_rho1"]
+                header = ["t", "phi_name", "estimate", "estimate_se", "ess", "log_rho1"]
                 _write_csv(out / file_for[method], header, _particle_rows(traj, [p.name for p in phis]))
                 key = "ks_m" if mode == "ks" else "zakai_m"
                 columns[key] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])

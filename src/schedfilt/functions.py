@@ -44,6 +44,7 @@ __all__ = [
     "eval_scalar_expr",
     "compile_drift",
     "compile_matrix_fn",
+    "compile_diffusion_apply",
     "compile_obs_fn",
     "descriptor_is_affine",
     "affine_coefficients",
@@ -129,6 +130,25 @@ def compile_matrix_fn(desc: Descriptor, m: int) -> Callable[[np.ndarray], np.nda
 
         return diag_fn
     raise UnknownFunctionDescriptor(f"unknown matrix descriptor kind for m={m}: {kind!r}")
+
+
+def compile_diffusion_apply(desc: Descriptor, m: int) -> Callable[..., np.ndarray]:
+    """Compile a diffusion descriptor to (x (N, m), z (N, m), out=None) -> B(x) z.
+
+    The product is the one `einsum("nij,nj->ni", B(x), z)` gives, bit for
+    bit: a scalar descriptor (m = 1) is one multiplication with no (N, 1, 1)
+    tensor, and matrix descriptors build the tensor and contract it.  The
+    result goes into `out` when given (it must not overlap z), else into a
+    new array.
+    """
+    kind = desc.get("kind")
+    if m == 1 and kind == "const":
+        b = float(desc["value"])
+        return lambda x, z, out=None: np.multiply(b, z, out=out)
+    if m == 1 and kind in _SCALAR_KINDS:
+        return lambda x, z, out=None: np.multiply(eval_scalar_expr(desc, np.asarray(x, dtype=float)), z, out=out)
+    matrix_fn = compile_matrix_fn(desc, m)
+    return lambda x, z, out=None: np.einsum("nij,nj->ni", matrix_fn(x), z, out=out)
 
 
 def compile_obs_fn(desc: Descriptor, m: int, n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

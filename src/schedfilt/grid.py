@@ -293,7 +293,8 @@ def grid_propagate(
     substep: float | None = None,
 ) -> GridDensity:
     """Event-free evolution over delta_t, which must be a multiple of the
-    substep (default: the scenario's simulation step)."""
+    substep (default: the scenario's simulation step); any other delta_t
+    raises UnsupportedScenario."""
     _require_scalar(scenario)
     if delta_t < 0:
         raise ValueError(f"delta_t must be nonnegative, got {delta_t}")
@@ -303,7 +304,7 @@ def grid_propagate(
         substep = scenario.dt
     steps = int(round(delta_t / substep))
     if steps < 1 or abs(steps * substep - delta_t) > 1e-9:
-        raise ValueError(f"delta_t={delta_t} is not a multiple of substep={substep}")
+        raise UnsupportedScenario(f"delta_t={delta_t} is not a multiple of substep={substep}")
     cache = _transition_cache(scenario, density.x, substep)
     out = density.copy()
     while steps >= _MAX_POW2:

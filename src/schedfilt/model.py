@@ -387,6 +387,7 @@ class ValidatedScenario:
     n: int
     x0: np.ndarray
     drift: Callable[[np.ndarray], np.ndarray]
+    diffusion_apply: Callable[..., np.ndarray]  # (x, z, out=None) -> B(x) z
     diffusion: Callable[[np.ndarray], np.ndarray]
     jump_coeff: Callable[[np.ndarray], np.ndarray]
     obs_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -462,6 +463,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
         n=n,
         x0=x0,
         drift=functions.compile_drift(model.drift, m),
+        diffusion_apply=functions.compile_diffusion_apply(model.diffusion, m),
         diffusion=functions.compile_matrix_fn(model.diffusion, m),
         jump_coeff=functions.compile_matrix_fn(model.jump_coeff, m),
         obs_fn=functions.compile_obs_fn(model.obs_fn, m, n),

@@ -43,7 +43,6 @@ __all__ = [
     "propagate",
     "ks_update",
     "zakai_update",
-    "kallianpur_striebel",
     "gamma_gaussian",
     "effective_sample_size",
     "systematic_resample",
@@ -127,19 +126,39 @@ def init_ensemble(
 
 
 def propagate(ensemble: ParticleEnsemble, scenario: ValidatedScenario, t_end: float) -> ParticleEnsemble:
-    """Euler step every particle forward to t_end; weights unchanged."""
+    """Euler step every particle forward to t_end; weights unchanged.
+
+    Each substep of length h = min(dt, t_end - t) draws one (N, m)
+    standard-normal block z from the ensemble's generator and sets
+
+        x <- x + a(x) h + sqrt(h) B(x) z,
+
+    summed in that order, with B(x) z from `scenario.diffusion_apply`.
+    The block is written into one buffer reused across substeps; the
+    numbers drawn, and so every trajectory, are those of a fresh
+    `standard_normal((N, m))` per substep.
+    """
     t = ensemble.time
     if t_end < t - 1e-12:
         raise ValueError(f"cannot propagate backwards from {t} to {t_end}")
     dt = scenario.dt
-    x = ensemble.x
-    n, m = x.shape
-    drift, diffusion = scenario.drift, scenario.diffusion
+    drift, diffusion_apply = scenario.drift, scenario.diffusion_apply
+    # Work arrays are allocated once: fresh ones of this size every substep
+    # cost more than the arithmetic.  The state alternates between x and
+    # x_next; x starts as a copy, so the caller's array is never written.
+    x = ensemble.x.copy()
+    x_next, z, noise = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        z = ensemble.rng.standard_normal((n, m))
-        bmat = diffusion(x)  # (n, m, m)
-        x = x + drift(x) * h + np.sqrt(h) * np.einsum("nij,nj->ni", bmat, z)
+        ensemble.rng.standard_normal(out=z)
+        # the sum above with its terms commuted, which is exact in IEEE
+        # arithmetic, so the result is the same bit for bit
+        np.multiply(drift(x), h, out=x_next)
+        x_next += x
+        diffusion_apply(x, z, out=noise)
+        noise *= np.sqrt(h)
+        x_next += noise
+        x, x_next = x_next, x
         t += h
     if not np.all(np.isfinite(x)):
         raise NumericalBlowup(f"particle positions became non-finite near t={t_end}")
@@ -256,13 +275,6 @@ def _event_update(
         mass_ratio=mass_ratio,
         mass_ratio_se=ratio_se,
     )
-
-
-def kallianpur_striebel(ensemble: ParticleEnsemble, phi) -> float:
-    """Normalized estimate from an unnormalized ensemble: ratio of sums."""
-    if not np.isfinite(ensemble.log_mass):
-        raise ZeroMass("total mass is zero, cannot normalize")
-    return ensemble.expectation(phi)
 
 
 def gamma_gaussian(pred_mean: float, pred_var: float, r: float, y: float) -> float:
@@ -458,10 +470,14 @@ class _AntitheticGenerator:
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
 
-    def standard_normal(self, size):
-        n = size[0]
-        half = self._rng.standard_normal((n // 2,) + tuple(size[1:]))
-        return np.concatenate([half, -half], axis=0)
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            half = self._rng.standard_normal((size[0] // 2,) + tuple(size[1:]))
+            return np.concatenate([half, -half], axis=0)
+        half = len(out) // 2
+        self._rng.standard_normal(out=out[:half])
+        np.negative(out[:half], out=out[half:])
+        return out
 
     def __getattr__(self, name):
         return getattr(self._rng, name)

@@ -16,7 +16,6 @@ import numpy as np
 PATH_DIFFUSION = 0
 PATH_MARKS = 1
 PARTICLES = 2
-BOOTSTRAP = 3
 PILOT = 4
 REFERENCE_OBS = 5
 
@@ -24,7 +23,6 @@ __all__ = [
     "PATH_DIFFUSION",
     "PATH_MARKS",
     "PARTICLES",
-    "BOOTSTRAP",
     "PILOT",
     "REFERENCE_OBS",
     "stream",

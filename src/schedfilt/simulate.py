@@ -186,7 +186,7 @@ def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | Non
         if k < n_steps:
             h = t[k + 1] - t[k]
             xr = x[None, :]
-            x = x + scenario.drift(xr)[0] * h + scenario.diffusion(xr)[0] @ z[k] * np.sqrt(h)
+            x = x + scenario.drift(xr)[0] * h + scenario.diffusion_apply(xr, z[k : k + 1])[0] * np.sqrt(h)
             if not np.all(np.isfinite(x)):
                 raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
 
@@ -318,9 +318,7 @@ def run_ensemble(
                     out_int[lo:hi, idx] = acc
             if k < n_steps:
                 h = hs[k]
-                x = x + scenario.drift(x) * h + np.einsum(
-                    "pij,pj->pi", scenario.diffusion(x), z[:, k]
-                ) * np.sqrt(h)
+                x = x + scenario.drift(x) * h + scenario.diffusion_apply(x, z[:, k]) * np.sqrt(h)
                 if not np.all(np.isfinite(x)):
                     raise NumericalBlowup(f"ensemble state became non-finite at t = {t[k + 1]:.6g}")
                 if G:

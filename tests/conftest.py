@@ -1,10 +1,12 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import schedfilt
-from schedfilt.presets import build_preset
+from schedfilt import model
+from schedfilt.presets import PRESETS, build_preset
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +27,42 @@ def credit_scenario():
 @pytest.fixture(scope="session")
 def njode_scenario():
     return build_preset("njode_style")
+
+
+def _two_dim(diffusion: dict) -> model.ValidatedScenario:
+    """ou_kalman's schedule with a coupled two-dimensional state."""
+    cfg = PRESETS["ou_kalman"]()
+    mdl = dataclasses.replace(
+        cfg.model,
+        m=2,
+        n=2,
+        x0=(1.0, 0.5),
+        drift={"kind": "linear_matrix", "matrix": [[-1.0, 0.3], [0.2, -0.7]]},
+        diffusion=diffusion,
+        jump_coeff={"kind": "constant_matrix", "value": [[1.0, 0.2], [0.1, 0.9]]},
+        jump_law=model.JumpLawSpec(
+            kind="gaussian_product",
+            q=((0.04, 0.01), (0.01, 0.03)),
+            r=((0.01, 0.0), (0.0, 0.01)),
+        ),
+        obs_fn={
+            "kind": "affine_xy",
+            "a": [[1.0, 0.0], [0.0, 1.0]],
+            "c": [[0.0, 0.0], [0.0, 0.0]],
+            "intercept": [0.0, 0.0],
+        },
+    )
+    return model.validate(dataclasses.replace(cfg, model=mdl))
+
+
+@pytest.fixture(scope="session")
+def euler_scenarios():
+    """Every diffusion form the Euler loops take: the four presets (constant
+    and state-dependent scalar diffusion) and two coupled 2-D models."""
+    scenarios = {name: build_preset(name) for name in ("ou_kalman", "credit_risk", "njode_style", "medical")}
+    scenarios["m2_constant_matrix"] = _two_dim({"kind": "constant_matrix", "value": [[0.5, 0.1], [0.2, 0.4]]})
+    scenarios["m2_diagonal_linear"] = _two_dim({"kind": "diagonal_linear", "scale": [0.3, 0.6]})
+    return scenarios
 
 
 @pytest.fixture()

@@ -103,7 +103,7 @@ def test_filter_all_methods(tmp_path, run_cli):
     head = first_line(out / "comparison.csv").split(",")
     assert head[0] == "t"
     assert {"kalman_m", "ks_m", "zakai_m", "grid_m"} <= set(head)
-    assert first_line(out / "ks_trajectory.csv") == "t,phi_name,estimate,bootstrap_se,ess,log_rho1"
+    assert first_line(out / "ks_trajectory.csv") == "t,phi_name,estimate,estimate_se,ess,log_rho1"
 
 
 def test_filter_events_round_trip(tmp_path, run_cli):
@@ -136,6 +136,42 @@ def test_incompatible_method_exits_3(tmp_path, run_cli):
     )
     assert proc.returncode == 3, proc.stderr
     assert "incompatible" in proc.stderr.lower()
+
+
+def _off_lattice_config(tmp: Path) -> Path:
+    """ou_kalman with an event time the grid's dt lattice cannot hit."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg["schedule"]["times"] = [0.3333, 1.0]
+    path = tmp / "off_lattice.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_off_lattice_times_skip_grid_under_all(tmp_path, run_cli):
+    out = tmp_path / "fil"
+    proc = run_cli(
+        [
+            "filter", str(_off_lattice_config(tmp_path)), "--method", "all",
+            "--particles", "2000", "--out", str(out),
+        ],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "skipping grid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    names = {p.name for p in out.iterdir()}
+    assert {"kalman_trajectory.csv", "ks_trajectory.csv", "zakai_trajectory.csv"} <= names
+    assert "grid_trajectory.csv" not in names
+
+
+def test_off_lattice_times_grid_only_exits_3(tmp_path, run_cli):
+    proc = run_cli(
+        ["filter", str(_off_lattice_config(tmp_path)), "--method", "grid", "--out", str(tmp_path / "x")],
+        tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "not a multiple of substep" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_scenario_exits_2(tmp_path, run_cli):

@@ -260,3 +260,43 @@ def test_trajectory_layout(ou_scenario):
             assert pf.times[j] == pf.times[j + 1]
     assert len(pf.events) == n_events
     assert [rec.index for rec in pf.events] == list(range(1, n_events + 1))
+
+
+def _reference_propagate(x, rng, scenario, t, t_end, antithetic):
+    """The particle Euler loop written out plainly: a fresh (N, m) normal block
+    per substep (mirrored halves in antithetic mode) and the (N, m, m)
+    diffusion tensor contracted by einsum."""
+    n, m = x.shape
+    while t < t_end - 1e-12:
+        h = min(scenario.dt, t_end - t)
+        if antithetic:
+            half = rng.standard_normal((n // 2, m))
+            z = np.concatenate([half, -half], axis=0)
+        else:
+            z = rng.standard_normal((n, m))
+        x = x + scenario.drift(x) * h + np.sqrt(h) * np.einsum("nij,nj->ni", scenario.diffusion(x), z)
+        t += h
+    return x
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_propagate_matches_reference_euler(euler_scenarios, antithetic):
+    # 0.1234 is off the dt lattice, so both legs end or start with a
+    # partial substep; the second leg also starts from a spread cloud
+    legs = (0.1234, 0.25)
+    for name, scn in euler_scenarios.items():
+        ens = particle.init_ensemble(scn, 64, rng=np.random.default_rng(9))
+        if antithetic:
+            ens.rng = particle._AntitheticGenerator(ens.rng)
+        ref_rng = np.random.default_rng(9)
+        x_ref, t = ens.x.copy(), 0.0
+        for t_end in legs:
+            x_in, x_in_copy = ens.x, ens.x.copy()
+            particle.propagate(ens, scn, t_end)
+            x_ref = _reference_propagate(x_ref, ref_rng, scn, t, t_end, antithetic)
+            t = t_end
+            np.testing.assert_array_equal(ens.x, x_ref, err_msg=f"{name} at t={t_end}")
+            np.testing.assert_array_equal(x_in, x_in_copy, err_msg=f"{name}: input state was written")
+        assert ens.time == legs[-1]
+        # the generator is left where the reference left it
+        assert ens.rng.random() == ref_rng.random()

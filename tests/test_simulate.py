@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedfilt import model, simulate
+from schedfilt import model, rngs, simulate
 from schedfilt.errors import ScheduleExhaustedHorizon
 from schedfilt.presets import PRESETS, build_preset
 
@@ -236,3 +236,81 @@ def test_ensemble_deterministic(ou_scenario):
     b = simulate.run_ensemble(ou_scenario, 16, checkpoint_times=[2.0])
     np.testing.assert_array_equal(a.x_checkpoints, b.x_checkpoints)
     np.testing.assert_array_equal(a.dy, b.dy)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the Euler steps
+
+
+def _reference_euler(scenario, t, z, jumps, jump_step):
+    """The Euler loop written out plainly over P paths at once: B(x) z by the
+    (P, m, m) diffusion tensor and einsum.  z is (P, steps, m); `jumps`
+    maps a grid row to the (P, m) marks applied there, through
+    `jump_step(C(x_pre), xi)`.  Returns the (P, T, m) paths and the
+    (P, K, m) pre-jump states."""
+    x = np.broadcast_to(scenario.x0, (z.shape[0], scenario.m)).copy()
+    xs, x_pre = [], []
+    for k in range(len(t)):
+        for xi in jumps.get(k, ()):
+            x_pre.append(x.copy())
+            x = x + jump_step(scenario.jump_coeff(x), xi)
+        xs.append(x)
+        if k < len(t) - 1:
+            h = t[k + 1] - t[k]
+            bz = np.einsum("nij,nj->ni", scenario.diffusion(x), z[:, k])
+            x = x + scenario.drift(x) * h + bz * np.sqrt(h)
+    return np.stack(xs, axis=1), np.stack(x_pre, axis=1) if x_pre else np.empty((len(x), 0, scenario.m))
+
+
+def _with_off_lattice_events(scenarios):
+    # event times off the dt lattice put partial substeps into the grid
+    out = dict(scenarios)
+    cfg = dataclasses.replace(
+        scenarios["ou_kalman"].config, schedule=model.Schedule(kind="deterministic", times=(0.3333, 1.0))
+    )
+    out["ou_off_lattice"] = model.validate(cfg)
+    return out
+
+
+def test_simulate_path_matches_reference_euler(euler_scenarios):
+    for name, scn in _with_off_lattice_events(euler_scenarios).items():
+        for p in range(2):
+            res = simulate.simulate_path(scn, path_id=p)
+            t = res.path.t
+            z = rngs.stream(scn.seed, rngs.PATH_DIFFUSION, p).standard_normal((len(t) - 1, scn.m))
+            jumps = {}
+            for k, ev in zip(res.path.event_rows, res.events):
+                jumps.setdefault(int(k), []).append(ev.xi[None, :])
+            xs, x_pre = _reference_euler(scn, t, z[None], jumps, lambda c, xi: c[0] @ xi[0])
+            np.testing.assert_array_equal(res.path.x, xs[0], err_msg=f"{name} path {p}")
+            np.testing.assert_array_equal(
+                x_pre[0], np.reshape([ev.x_pre for ev in res.events], (-1, scn.m)), err_msg=name
+            )
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
+    scenarios = _with_off_lattice_events(euler_scenarios)
+    # ensembles need a deterministic schedule
+    scenarios["medical"] = model.validate(
+        dataclasses.replace(
+            scenarios["medical"].config, schedule=model.Schedule(kind="deterministic", times=(0.5, 1.0))
+        )
+    )
+    n_paths = 4
+    for name, scn in scenarios.items():
+        ens = simulate.run_ensemble(scn, n_paths, checkpoint_times=[scn.horizon], antithetic=antithetic)
+        t = simulate.build_time_grid(scn.horizon, scn.dt, ens.event_times)
+        rows = [int(np.argmin(np.abs(t - s))) for s in ens.event_times]
+        z = np.stack(
+            [
+                rngs.stream(scn.seed, rngs.PATH_DIFFUSION, p).standard_normal((len(t) - 1, scn.m))
+                for p in range(n_paths)
+            ]
+        )
+        if antithetic:
+            z[1::2] = -z[0::2]
+        jumps = {k: [ens.xi[:, i]] for i, k in enumerate(rows)}
+        xs, x_pre = _reference_euler(scn, t, z, jumps, lambda c, xi: np.einsum("pij,pj->pi", c, xi))
+        np.testing.assert_array_equal(ens.x_checkpoints[:, 0], xs[:, -1], err_msg=name)
+        np.testing.assert_array_equal(ens.x_pre, x_pre, err_msg=name)
