@@ -117,19 +117,12 @@ def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: li
         "scenario_source": args.scenario,
         "scenario_sha256": hashlib.sha256(canonical_json.encode("utf-8")).hexdigest(),
         "seed": int(seed),
-        "threads": int(getattr(args, "threads", 1)),
         "created_unix": int(stamp) if stamp is not None else int(time.time()),
         "outputs": sorted(outputs),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _reporting_times(scenario: ValidatedScenario) -> np.ndarray:
-    step = scenario.filters.reporting_dt
-    n = int(round(scenario.horizon / step))
-    return np.linspace(0.0, scenario.horizon, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,7 @@ def cmd_filter(args) -> int:
         ([args.path_id, ev.index, ev.time] + [ev.dy[j] for j in range(n)] for ev in events),
     )
 
-    reporting = _reporting_times(scenario)
+    reporting = scenario.reporting_times
     columns: dict[str, dict] = {}
     ran: list[str] = []
     skipped: list[str] = []
@@ -435,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="preset name or path to a scenario JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_ROOT_ENV}/<subcommand>)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint, recorded in the manifest; results do not depend on it")
 
     p_sim = sub.add_parser("simulate", help="draw paths and dump them as CSV")
     common(p_sim)

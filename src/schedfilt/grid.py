@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rngs
 from .errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
-from .model import DiscreteDistribution, GaussianDistribution, PointMass, ValidatedScenario
+from .model import DiscreteDistribution, GaussianDistribution, PointMass, ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "init_density",
     "grid_propagate",
     "grid_event_update",
-    "grid_expectation",
     "grid_S_phi",
     "grid_nu_integral",
     "predictive_density",
@@ -423,10 +422,6 @@ def grid_event_update(
     return _check_density(posterior, "event update", check_boundary=check_boundary)
 
 
-def grid_expectation(density: GridDensity, phi) -> float:
-    return density.expectation(phi)
-
-
 def grid_S_phi(
     density_pre: GridDensity,
     scenario: ValidatedScenario,
@@ -505,19 +500,15 @@ def grid_run_filter(
     domain: tuple[float, float] | None = None,
     collect_densities: bool = False,
 ) -> GridTrajectory:
-    """Full filtering pass along a realized event sequence."""
+    """Full filtering pass along a realized event sequence; rows follow the
+    layout of `model.walk_events`."""
     _require_scalar(scenario)
     x_nodes = make_grid(scenario, n_nodes=n_nodes, domain=domain)
     dens = init_density(x_nodes, float(scenario.x0[0]))
     if substep is None:
         substep = scenario.dt
     if reporting_times is None:
-        step = scenario.filters.reporting_dt
-        n = int(round(scenario.horizon / step))
-        reporting_times = np.linspace(0.0, scenario.horizon, n + 1)
-
-    ev = sorted(((float(e.time), float(np.asarray(e.dy).reshape(-1)[0]), float(np.asarray(e.y_pre).reshape(-1)[0])) for e in events), key=lambda r: r[0])
-    rep = sorted(float(t) for t in reporting_times)
+        reporting_times = scenario.reporting_times
 
     t_cur = 0.0
     rows_t: list[float] = []
@@ -525,6 +516,17 @@ def grid_run_filter(
     means: list[float] = []
     variances: list[float] = []
     densities: list[np.ndarray] | None = [] if collect_densities else None
+
+    def advance(t_target: float) -> None:
+        nonlocal t_cur, dens
+        if t_target - t_cur > 1e-12:
+            dens = grid_propagate(dens, scenario, t_target - t_cur, substep)
+            t_cur = t_target
+
+    def update(event, index: int) -> None:
+        nonlocal dens
+        dy, y_pre = (float(np.asarray(v).reshape(-1)[0]) for v in (event.dy, event.y_pre))
+        dens = grid_event_update(dens, scenario, dy, y_pre)
 
     def emit(side: str) -> None:
         rows_t.append(t_cur)
@@ -534,35 +536,7 @@ def grid_run_filter(
         if densities is not None:
             densities.append(dens.p.copy())
 
-    def advance(t_target: float) -> None:
-        nonlocal t_cur, dens
-        if t_target - t_cur > 1e-12:
-            dens = grid_propagate(dens, scenario, t_target - t_cur, substep)
-            t_cur = t_target
-
-    ei = 0
-    emit("interior")
-    for t in rep:
-        if t <= 1e-12:
-            continue
-        while ei < len(ev) and ev[ei][0] <= t + 1e-12:
-            te, dy, y_pre = ev[ei]
-            advance(te)
-            emit("pre")
-            dens = grid_event_update(dens, scenario, dy, y_pre)
-            emit("post")
-            ei += 1
-        advance(t)
-        if abs(rows_t[-1] - t) > 1e-12 or sides[-1] == "pre":
-            emit("interior")
-    while ei < len(ev):
-        te, dy, y_pre = ev[ei]
-        advance(te)
-        emit("pre")
-        dens = grid_event_update(dens, scenario, dy, y_pre)
-        emit("post")
-        ei += 1
-
+    walk_events(events, reporting_times, advance, update, emit)
     return GridTrajectory(
         times=np.asarray(rows_t),
         sides=sides,

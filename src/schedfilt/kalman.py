@@ -19,13 +19,13 @@ Matrix-valued states propagate by RK4 on the coupled mean/covariance ODE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import functions
 from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS
-from .model import ValidatedScenario
+from .model import ValidatedScenario, walk_events
 
 __all__ = [
     "LinearModelParams",
@@ -263,17 +263,12 @@ def run_filter(
 ) -> KalmanTrajectory:
     """Exact filter along the given events, reported at the given times.
 
-    Events need attributes (or triples) time, dy, y_pre; reporting times
-    outside events are labelled "interior", events contribute "pre" and
-    "post" rows at the event time.
+    Events need attributes time, dy and y_pre; rows follow the layout of
+    `model.walk_events`.
     """
     if params is None:
         params = linear_params_from_scenario(scenario)
     belief = GaussianBelief(0.0, scenario.x0.astype(float).copy(), np.zeros((params.m, params.m)))
-
-    ev = [(float(e.time), np.asarray(e.dy, float), np.asarray(e.y_pre, float)) for e in events]
-    ev.sort(key=lambda r: r[0])
-    rep = sorted(float(t) for t in reporting_times)
 
     times: list[float] = []
     sides: list[str] = []
@@ -281,37 +276,22 @@ def run_filter(
     covs: list[np.ndarray] = []
     updates: list[EventUpdate] = []
 
+    def advance(t: float) -> None:
+        nonlocal belief
+        belief = propagate(belief, params, t - belief.time)
+
+    def update(event, index: int) -> None:
+        nonlocal belief
+        belief, record = jump_update(belief, params, event.dy, event.y_pre, ordering, index=index)
+        updates.append(record)
+
     def emit(side: str) -> None:
         times.append(belief.time)
         sides.append(side)
         means.append(belief.mean.copy())
         covs.append(belief.cov.copy())
 
-    ei = 0
-    for t in rep:
-        while ei < len(ev) and ev[ei][0] <= t + 1e-12:
-            te, dy, y_pre = ev[ei]
-            belief = propagate(belief, params, te - belief.time)
-            emit("pre")
-            belief, record = jump_update(belief, params, dy, y_pre, ordering, index=ei + 1)
-            updates.append(record)
-            emit("post")
-            ei += 1
-        if abs(belief.time - t) > 1e-12:
-            belief = propagate(belief, params, t - belief.time)
-        if not times or abs(times[-1] - t) > 1e-12 or sides[-1] == "pre":
-            if times and abs(times[-1] - t) <= 1e-12 and sides[-1] == "post":
-                continue
-            emit("interior")
-    while ei < len(ev):  # events after the last reporting time
-        te, dy, y_pre = ev[ei]
-        belief = propagate(belief, params, te - belief.time)
-        emit("pre")
-        belief, record = jump_update(belief, params, dy, y_pre, ordering, index=ei + 1)
-        updates.append(record)
-        emit("post")
-        ei += 1
-
+    walk_events(events, reporting_times, advance, update, emit)
     return KalmanTrajectory(
         times=np.asarray(times),
         sides=sides,

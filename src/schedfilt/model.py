@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
     NegativeDt,
     NonIncreasingTimes,
     NonPSDCovariance,
-    UnsupportedScenario,
     ValidationError,
     ZeroConditionalMass,
 )
@@ -45,7 +44,8 @@ __all__ = [
     "ScenarioConfig",
     "ValidatedScenario",
     "validate",
-    "conditional_jump_law",
+    "apply_overrides",
+    "walk_events",
     "scenario_to_dict",
     "scenario_from_dict",
     "scenario_to_json",
@@ -301,11 +301,6 @@ class JumpLaw:
         raise AssertionError(kind)
 
 
-def conditional_jump_law(law: JumpLaw, eta0: np.ndarray):
-    """Law of xi given eta = eta0; module-level alias for `JumpLaw.conditional_xi`."""
-    return law.conditional_xi(eta0)
-
-
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -413,14 +408,25 @@ class ValidatedScenario:
     def filters(self) -> FilterSettings:
         return self.config.filters
 
+    @property
+    def reporting_times(self) -> np.ndarray:
+        """Default reporting grid: 0 to the horizon in steps of reporting_dt."""
+        n = int(round(self.horizon / self.filters.reporting_dt))
+        return np.linspace(0.0, self.horizon, n + 1)
+
     def with_overrides(self, **changes: Any) -> "ValidatedScenario":
         """Revalidate with top-level config fields replaced."""
-        filter_fields = {k: v for k, v in changes.items() if hasattr(FilterSettings(), k)}
-        config_fields = {k: v for k, v in changes.items() if k not in filter_fields}
-        cfg = replace(self.config, **config_fields)
-        if filter_fields:
-            cfg = replace(cfg, filters=replace(cfg.filters, **filter_fields))
-        return validate(cfg)
+        return validate(apply_overrides(self.config, changes))
+
+
+def apply_overrides(config: ScenarioConfig, changes: dict[str, Any]) -> ScenarioConfig:
+    """Replace config fields; FilterSettings field names go to `config.filters`."""
+    filter_fields = {k: v for k, v in changes.items() if hasattr(FilterSettings(), k)}
+    config_fields = {k: v for k, v in changes.items() if k not in filter_fields}
+    config = replace(config, **config_fields)
+    if filter_fields:
+        config = replace(config, filters=replace(config.filters, **filter_fields))
+    return config
 
 
 def validate(config: ScenarioConfig) -> ValidatedScenario:
@@ -516,6 +522,39 @@ def _probe_states(x0: np.ndarray, m: int) -> np.ndarray:
     offsets = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     probe = x0[None, :] * (1.0 + 0.1 * offsets[:, None]) + offsets[:, None]
     return probe.reshape(-1, m)
+
+
+# ---------------------------------------------------------------------------
+# the event/reporting walk shared by every filter
+
+
+def walk_events(events, reporting_times, advance, update, emit) -> None:
+    """Walk a filter through its events and reporting times.
+
+    Rows: one "interior" row at t = 0; a "pre" and a "post" row at each
+    event, in time order; an "interior" row at each reporting time more
+    than 1e-12 past the previous row, so a reporting time at 0, at an event
+    or repeated adds none.  Events up to 1e-12 past a reporting time come
+    before its row; events after the last one are still applied.
+
+    advance(t) moves the filter to t, update(event, index) applies one
+    event (index from 1 in time order) and emit(side) records a row.
+    """
+    pending = sorted(events, key=lambda e: float(e.time))
+    t_row, i = 0.0, 0
+    emit("interior")
+    for t in [*sorted(float(t) for t in reporting_times), np.inf]:
+        while i < len(pending) and float(pending[i].time) <= t + 1e-12:
+            t_row = float(pending[i].time)
+            advance(t_row)
+            emit("pre")
+            update(pending[i], i + 1)
+            emit("post")
+            i += 1
+        if np.isfinite(t) and t - t_row > 1e-12:
+            advance(t)
+            emit("interior")
+            t_row = t
 
 
 # ---------------------------------------------------------------------------

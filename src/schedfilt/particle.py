@@ -33,7 +33,7 @@ from .errors import (
     ZeroMass,
     ZeroReferenceDensity,
 )
-from .model import ValidatedScenario
+from .model import ValidatedScenario, walk_events
 
 __all__ = [
     "ParticleEnsemble",
@@ -370,6 +370,7 @@ def run_particle_filter(
     events supply (time, dy, y_pre); method "ks" runs the normalized
     filter, "zakai" the unnormalized one.  phis are extra test functions
     recorded with delta-method standard errors at every reported time.
+    Rows follow the layout of `model.walk_events`.
     """
     if method not in ("ks", "zakai"):
         raise ValueError("method must be 'ks' or 'zakai'")
@@ -385,12 +386,10 @@ def run_particle_filter(
         if n_particles % 2:
             raise ValueError("antithetic propagation needs an even particle count")
 
-    ev = sorted(((float(e.time), np.asarray(e.dy, float), np.asarray(e.y_pre, float)) for e in events), key=lambda r: r[0])
     if reporting_times is None:
-        reporting_times = _default_reporting(scenario)
-    rep = sorted(float(t) for t in reporting_times)
+        reporting_times = scenario.reporting_times
     snap = {round(float(t), 12) for t in snapshot_times}
-    update = ks_update if method == "ks" else zakai_update
+    event_update = ks_update if method == "ks" else zakai_update
 
     rows: dict[str, list] = {"t": [], "side": [], "ess": [], "log_mass": []}
     means, variances = [], []
@@ -398,6 +397,9 @@ def run_particle_filter(
     phi_se = {p.name: [] for p in phis}
     event_records: list[EventRecord] = []
     snapshots: list = []
+
+    def update(event, index: int) -> None:
+        event_records.append(event_update(ens, scenario, event.dy, event.y_pre, resample_threshold, index=index))
 
     def emit(side: str) -> None:
         rows["t"].append(ens.time)
@@ -414,30 +416,7 @@ def run_particle_filter(
         if round(ens.time, 12) in snap and side != "pre":
             snapshots.append((ens.time, ens.x.copy(), ens.log_w.copy()))
 
-    ei = 0
-    emit("interior")  # t = 0 row
-    for t in rep:
-        if t <= 1e-12:
-            continue
-        while ei < len(ev) and ev[ei][0] <= t + 1e-12:
-            te, dy, y_pre = ev[ei]
-            propagate(ens, scenario, te)
-            emit("pre")
-            event_records.append(update(ens, scenario, dy, y_pre, resample_threshold, index=ei + 1))
-            emit("post")
-            ei += 1
-        if t - ens.time > 1e-12:
-            propagate(ens, scenario, t)
-        if abs(rows["t"][-1] - t) > 1e-12 or rows["side"][-1] == "pre":
-            emit("interior")
-    while ei < len(ev):
-        te, dy, y_pre = ev[ei]
-        propagate(ens, scenario, te)
-        emit("pre")
-        event_records.append(update(ens, scenario, dy, y_pre, resample_threshold, index=ei + 1))
-        emit("post")
-        ei += 1
-
+    walk_events(events, reporting_times, lambda t: propagate(ens, scenario, t), update, emit)
     return ParticleTrajectory(
         times=np.asarray(rows["t"]),
         sides=rows["side"],
@@ -450,13 +429,6 @@ def run_particle_filter(
         events=event_records,
         snapshots=snapshots,
     )
-
-
-def _default_reporting(scenario: ValidatedScenario) -> np.ndarray:
-    step = scenario.filters.reporting_dt
-    horizon = scenario.horizon
-    n = int(round(horizon / step))
-    return np.linspace(0.0, horizon, n + 1)
 
 
 class _AntitheticGenerator:

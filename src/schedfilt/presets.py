@@ -7,30 +7,19 @@ configs/ are generated from these builders and must stay equal to them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from .model import (
-    FilterSettings,
     JumpLawSpec,
     ModelSpec,
     ScenarioConfig,
     Schedule,
     ValidatedScenario,
+    apply_overrides,
     validate,
 )
 
 __all__ = ["ou_kalman", "medical", "credit_risk", "njode_style", "build_preset", "PRESETS"]
-
-
-def _apply_overrides(config: ScenarioConfig, overrides: dict[str, Any]) -> ScenarioConfig:
-    filter_keys = {k for k in overrides if hasattr(FilterSettings(), k)}
-    config_keys = {k: v for k, v in overrides.items() if k not in filter_keys}
-    if config_keys:
-        config = replace(config, **config_keys)
-    if filter_keys:
-        config = replace(config, filters=replace(config.filters, **{k: overrides[k] for k in filter_keys}))
-    return config
 
 
 def ou_kalman(**overrides: Any) -> ScenarioConfig:
@@ -57,7 +46,7 @@ def ou_kalman(**overrides: Any) -> ScenarioConfig:
         seed=1234,
         preset="ou_kalman",
     )
-    return _apply_overrides(config, overrides)
+    return apply_overrides(config, overrides)
 
 
 def medical(**overrides: Any) -> ScenarioConfig:
@@ -93,7 +82,7 @@ def medical(**overrides: Any) -> ScenarioConfig:
         seed=1234,
         preset="medical",
     )
-    return _apply_overrides(config, overrides)
+    return apply_overrides(config, overrides)
 
 
 def credit_risk(**overrides: Any) -> ScenarioConfig:
@@ -120,7 +109,7 @@ def credit_risk(**overrides: Any) -> ScenarioConfig:
         seed=1234,
         preset="credit_risk",
     )
-    return _apply_overrides(config, overrides)
+    return apply_overrides(config, overrides)
 
 
 def njode_style(**overrides: Any) -> ScenarioConfig:
@@ -150,7 +139,7 @@ def njode_style(**overrides: Any) -> ScenarioConfig:
         seed=1234,
         preset="njode_style",
     )
-    return _apply_overrides(config, overrides)
+    return apply_overrides(config, overrides)
 
 
 PRESETS = {

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gh_nodes_weights", "gaussian_quad_points", "expect_gaussian"]
+__all__ = ["gh_nodes_weights", "gaussian_quad_points"]
 
 _SQRT_PI = float(np.sqrt(np.pi))
 
@@ -32,8 +32,3 @@ def gaussian_quad_points(mean: float, var: float, order: int) -> tuple[np.ndarra
     pts = mean + np.sqrt(2.0 * var) * u
     return pts, w / _SQRT_PI
 
-
-def expect_gaussian(g, mean: float, var: float, order: int) -> float:
-    """Quadrature estimate of E[g(Z)] for Z ~ N(mean, var)."""
-    pts, w = gaussian_quad_points(mean, var, order)
-    return float(np.dot(w, g(pts)))

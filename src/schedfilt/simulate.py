@@ -24,7 +24,7 @@ from .errors import (
     ScheduleExhaustedHorizon,
     UnsupportedScenario,
 )
-from .model import Schedule, ValidatedScenario
+from .model import ValidatedScenario
 
 __all__ = [
     "ObservationEvent",
@@ -233,7 +233,9 @@ def run_ensemble(
     """Simulate many paths at once, keeping per-path reproducibility.
 
     Path p uses the same noise streams as `simulate_path(scenario, p)`, so
-    ensemble trajectories agree bit for bit with single-path runs.  Only
+    ensemble trajectories agree with single-path runs: bit for bit for a
+    scalar state (m = 1), to round-off for m >= 2, where a matrix product
+    over P rows can round differently from the one-row product.  Only
     deterministic schedules are supported here; integrands g are (N, m) ->
     (N,) maps accumulated as trapezoid integrals of g(X_s) ds with the
     pre-jump value closing the segment that ends at an event.

@@ -242,16 +242,3 @@ def test_discrete_marks_rejected():
     )
     with pytest.raises(IncompatibleMethod):
         kalman.linear_params_from_scenario(scn)
-
-
-def test_run_filter_trajectory_layout(ou_scenario):
-    res = simulate.simulate_path(ou_scenario, path_id=0)
-    rep = np.linspace(0.0, 2.0, 41)
-    traj = kalman.run_filter(ou_scenario, res.events, rep)
-    assert traj.sides.count("pre") == len(res.events)
-    assert traj.sides.count("post") == len(res.events)
-    assert traj.times.shape[0] == len(traj.sides) == traj.means.shape[0]
-    # pre/post pairs sit at the event times, post immediately after pre
-    for ev in res.events:
-        ks = np.nonzero(np.isclose(traj.times, ev.time))[0]
-        assert [traj.sides[k] for k in ks] == ["pre", "post"]

@@ -247,21 +247,6 @@ def test_antithetic_requires_even_count(ou_scenario):
         )
 
 
-def test_trajectory_layout(ou_scenario):
-    result = simulate.simulate_path(ou_scenario, path_id=1)
-    pf = particle.run_particle_filter(ou_scenario, result.events, n_particles=200)
-    assert np.all(np.diff(pf.times) >= -1e-12)
-    n_events = len(result.events)
-    assert pf.sides.count("pre") == n_events
-    assert pf.sides.count("post") == n_events
-    for j, side in enumerate(pf.sides):
-        if side == "pre":
-            assert pf.sides[j + 1] == "post"
-            assert pf.times[j] == pf.times[j + 1]
-    assert len(pf.events) == n_events
-    assert [rec.index for rec in pf.events] == list(range(1, n_events + 1))
-
-
 def _reference_propagate(x, rng, scenario, t, t_end, antithetic):
     """The particle Euler loop written out plainly: a fresh (N, m) normal block
     per substep (mirrored halves in antithetic mode) and the (N, m, m)
