@@ -1,13 +1,16 @@
 """Deterministic grid filter for scalar scenarios, used as ground truth.
 
 The conditional density lives on a fixed uniform grid.  Event-free
-propagation applies one-step Gaussian transition kernels (mean shifted by
-the drift, variance b^2 dt); the kernel matrix is time-homogeneous, so
-binary powers are cached and a long interval costs a handful of
-matrix-vector products.  An event multiplies by the measurement-noise
-likelihood, renormalizes, and then pushes the density through the law of
-x + c(x) xi with xi drawn from the mark law conditioned on the residual
-dy - f(x, y_pre).
+propagation applies a one-step Gaussian transition kernel (mean shifted by
+the drift, variance b^2 dt) once per substep.  The kernel is local, so it
+is stored as a band: per target node, the weights of the source nodes
+within h of it.  An event multiplies by the measurement-noise likelihood,
+renormalizes, and then pushes the density through the law of x + c(x) xi
+with xi drawn from the mark law conditioned on the residual dy - f(x, y_pre):
+a Gaussian band for Gaussian marks, one linear splat per atom for discrete
+ones.  The bands of the transition and of the unconditional Gaussian jump
+depend only on the scenario, the grid and the step, so the last few built
+are kept.
 
 Rows of every kernel are mass-normalized, so propagation conserves mass
 by construction; a separate check keeps the outer 2% of nodes below a
@@ -16,16 +19,15 @@ mass threshold and raises BoundaryLeak when the domain is too small.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rngs
 from .errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
-from .model import DiscreteDistribution, GaussianDistribution, PointMass, ValidatedScenario, walk_events
+from .model import ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 _SMOOTH_SIGMA_FACTOR = 0.7071  # below sigma = 0.7071 dx a sampled Gaussian row aliases
-_MAX_POW2 = 64
+_TAIL_SDS = 8.6  # exp(-8.6**2 / 2) < 2**-53: a kernel row's dropped tail is below round-off
 _BOUNDARY_FRACTION = 0.02
 _BOUNDARY_TOL = 1e-6
 _MASS_TOL = 1e-8
@@ -180,95 +182,88 @@ def make_grid(scenario: ValidatedScenario, n_nodes: int | None = None, domain: t
 # kernels
 
 
-def _fill_pointlike_row(row: np.ndarray, x: np.ndarray, mu: float, sigma: float, dx: float) -> None:
-    """Sub-grid-scale kernel row: moment-matched 3-point stencil when it is
+def _pointlike_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-grid-scale kernel rows: moment-matched 3-point stencil when it is
     nonnegative, otherwise a 2-point linear splat (mean exact, variance
-    within dx^2/4)."""
+    within dx^2/4).  Returns the target nodes and weights, (K, 3) each; a
+    splat's third weight is zero."""
     G = x.size
-    j = int(np.clip(round((mu - x[0]) / dx), 0, G - 1))
-    delta = (mu - x[j]) / dx
-    v = (sigma / dx) ** 2
-    if 0 < j < G - 1 and v + delta**2 >= abs(delta) and v + delta**2 <= 1.0:
-        row[j - 1] += 0.5 * (v + delta**2 - delta)
-        row[j] += 1.0 - v - delta**2
-        row[j + 1] += 0.5 * (v + delta**2 + delta)
-        return
-    jf = int(np.clip(np.floor((mu - x[0]) / dx), 0, G - 2))
-    frac = float(np.clip((mu - x[jf]) / dx, 0.0, 1.0))
-    row[jf] += 1.0 - frac
-    row[jf + 1] += frac
+    dx = float(x[1] - x[0])
+    j = np.clip(np.round((means - x[0]) / dx), 0, G - 1).astype(int)
+    delta = (means - x[j]) / dx
+    v = (sigmas / dx) ** 2
+    s = v + delta**2
+    stencil = ((0 < j) & (j < G - 1) & (s >= np.abs(delta)) & (s <= 1.0))[:, None]
+    jf = np.clip(np.floor((means - x[0]) / dx), 0, G - 2).astype(int)
+    frac = np.clip((means - x[jf]) / dx, 0.0, 1.0)
+    targets = np.where(stencil, j[:, None] + [-1, 0, 1], jf[:, None] + [0, 1, 1])
+    weights = np.where(
+        stencil,
+        np.stack([0.5 * (s - delta), 1.0 - v - delta**2, 0.5 * (s + delta)], axis=1),
+        np.stack([1.0 - frac, frac, np.zeros_like(frac)], axis=1),
+    )
+    return targets, weights
 
 
 def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(G, G) matrix; row k spreads unit mass from source k over targets."""
+    """Band of the kernel whose row k spreads unit mass from source k over
+    the targets: band[j, h + s] is the weight source j + s puts on target j.
+
+    A row is N(means[k], sigmas[k]^2) on the nodes within _TAIL_SDS sd of
+    its mean, normalized; a row with no node there is zero.  Rows with
+    sigma below _SMOOTH_SIGMA_FACTOR dx are pointlike stencils."""
     G = x.size
     dx = float(x[1] - x[0])
-    K = np.zeros((G, G))
+    k = np.arange(G)
     smooth = sigmas > _SMOOTH_SIGMA_FACTOR * dx
-    if np.any(smooth):
-        z = (x[None, :] - means[smooth, None]) / sigmas[smooth, None]
-        rows = np.exp(-0.5 * z * z)
-        sums = rows.sum(axis=1, keepdims=True)
-        sums[sums == 0.0] = 1.0
-        K[smooth] = rows / sums
-    for k in np.nonzero(~smooth)[0]:
-        _fill_pointlike_row(K[k], x, float(means[k]), float(sigmas[k]), dx)
-    return K
+    point_t, point_w = _pointlike_rows(x, means[~smooth], sigmas[~smooth])
+    point_s = k[~smooth, None] - point_t
+    first = np.maximum(np.ceil((means - _TAIL_SDS * sigmas - x[0]) / dx), 0)
+    last = np.minimum(np.floor((means + _TAIL_SDS * sigmas - x[0]) / dx), G - 1)
+    hit = smooth & (first <= last)
+    h = int(np.max(np.concatenate([last[hit] - k[hit], k[hit] - first[hit], np.abs(point_s).ravel()]), initial=0))
+    width = 2 * h + 1
+    mu = sliding_window_view(np.pad(np.where(hit, means, np.inf), h, constant_values=np.inf), width)
+    sd = sliding_window_view(np.pad(np.where(hit, sigmas, 1.0), h, constant_values=1.0), width)
+    z2 = ((x[:, None] - mu) / sd) ** 2
+    band = np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=np.zeros_like(z2))
+    del z2
+    source = sliding_window_view(np.arange(G + 2 * h), width)  # padded source index of band[j, s]
+    sums = np.bincount(source.ravel(), band.ravel(), minlength=G + 2 * h)
+    sums[sums == 0.0] = 1.0
+    band /= sliding_window_view(sums, width)
+    np.add.at(band, (point_t, point_s + h), point_w)
+    return band
 
 
-def _apply_kernel(density: GridDensity, K: np.ndarray) -> np.ndarray:
+def _apply_band(density: GridDensity, band: np.ndarray) -> np.ndarray:
+    h = band.shape[1] // 2
     w = density.trapz_weights()
-    masses = density.p * w
-    return (masses @ K) / w
+    padded = np.zeros(density.n_nodes + 2 * h)
+    padded[h : h + density.n_nodes] = density.p * w
+    return np.einsum("js,js->j", band, sliding_window_view(padded, band.shape[1])) / w
 
 
-class _PowerCache:
-    """Binary powers of a one-step transition matrix, built lazily."""
-
-    def __init__(self, K: np.ndarray):
-        self.powers = {1: K}
-
-    def power(self, k: int) -> np.ndarray:
-        if k not in self.powers:
-            half = self.power(k // 2)
-            self.powers[k] = half @ half
-        return self.powers[k]
+_BANDS: dict[tuple, np.ndarray] = {}
+_BANDS_MAX = 4
 
 
-_TRANSITION_CACHE: OrderedDict[str, _PowerCache] = OrderedDict()
-_TRANSITION_CACHE_MAX = 4
+def _memo_band(spec: dict, x: np.ndarray, width: float, build) -> np.ndarray:
+    """The band of a time-homogeneous kernel, built by build() on a miss;
+    the last _BANDS_MAX bands used are kept."""
+    key = (json.dumps(spec, sort_keys=True, default=str), float(x[0]), float(x[-1]), x.size, float(width))
+    band = _BANDS.pop(key, None)
+    _BANDS[key] = build() if band is None else band
+    if len(_BANDS) > _BANDS_MAX:
+        del _BANDS[next(iter(_BANDS))]
+    return _BANDS[key]
 
 
-def _scenario_dynamics_key(scenario: ValidatedScenario, x: np.ndarray, dt: float) -> str:
-    model = scenario.config.model
-    payload = json.dumps(
-        {
-            "drift": model.drift,
-            "diffusion": model.diffusion,
-            "lo": float(x[0]),
-            "hi": float(x[-1]),
-            "nodes": int(x.size),
-            "dt": float(dt),
-        },
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _transition_cache(scenario: ValidatedScenario, x: np.ndarray, dt: float) -> _PowerCache:
-    key = _scenario_dynamics_key(scenario, x, dt)
-    if key in _TRANSITION_CACHE:
-        _TRANSITION_CACHE.move_to_end(key)
-        return _TRANSITION_CACHE[key]
+def _transition_band(scenario: ValidatedScenario, x: np.ndarray, dt: float) -> np.ndarray:
     xcol = x[:, None]
     means = x + scenario.drift(xcol)[:, 0] * dt
     sigmas = np.abs(scenario.diffusion(xcol)[:, 0, 0]) * np.sqrt(dt)
-    cache = _PowerCache(_kernel_rows(x, means, sigmas))
-    _TRANSITION_CACHE[key] = cache
-    while len(_TRANSITION_CACHE) > _TRANSITION_CACHE_MAX:
-        _TRANSITION_CACHE.popitem(last=False)
-    return cache
+    return _kernel_rows(x, means, sigmas)
 
 
 def _check_density(density: GridDensity, where: str, check_boundary: bool = True) -> GridDensity:
@@ -291,9 +286,9 @@ def grid_propagate(
     delta_t: float,
     substep: float | None = None,
 ) -> GridDensity:
-    """Event-free evolution over delta_t, which must be a multiple of the
-    substep (default: the scenario's simulation step); any other delta_t
-    raises UnsupportedScenario."""
+    """Event-free evolution over delta_t: whole substeps (default: the
+    scenario's simulation step), then one step of what is left, as the
+    particles and the simulator do."""
     _require_scalar(scenario)
     if delta_t < 0:
         raise ValueError(f"delta_t must be nonnegative, got {delta_t}")
@@ -301,20 +296,18 @@ def grid_propagate(
         return density.copy()
     if substep is None:
         substep = scenario.dt
-    steps = int(round(delta_t / substep))
-    if steps < 1 or abs(steps * substep - delta_t) > 1e-9:
-        raise UnsupportedScenario(f"delta_t={delta_t} is not a multiple of substep={substep}")
-    cache = _transition_cache(scenario, density.x, substep)
+    x = density.x
+    model = scenario.config.model
+    steps = int((delta_t + 1e-9) // substep)
+    rest = delta_t - steps * substep
+    spec = {"drift": model.drift, "diffusion": model.diffusion}
+    band = _memo_band(spec, x, substep, lambda: _transition_band(scenario, x, substep))
     out = density.copy()
-    while steps >= _MAX_POW2:
-        out.p = _apply_kernel(out, cache.power(_MAX_POW2))
-        steps -= _MAX_POW2
-    k = 1
-    while steps:
-        if steps & 1:
-            out.p = _apply_kernel(out, cache.power(k))
-        steps >>= 1
-        k *= 2
+    for _ in range(steps):
+        out.p = _apply_band(out, band)
+    if rest > 1e-9:
+        # the rest's width varies by float noise, so it is not memoized
+        out.p = _apply_band(out, _transition_band(scenario, x, rest))
     return _check_density(out, "propagation")
 
 
@@ -328,71 +321,43 @@ def _likelihood(density: GridDensity, scenario: ValidatedScenario, dy: float, y_
     return np.exp(scenario.jump_law.eta_log_density(eta_hat)), eta_hat[:, 0]
 
 
-_JUMP_KERNEL_CACHE: OrderedDict[str, np.ndarray] = OrderedDict()
-
-
-def _jump_kernel_unconditional(scenario: ValidatedScenario, x: np.ndarray, sd_xi: float) -> np.ndarray:
-    """Kernel for x -> x + c(x) xi with xi ~ N(0, sd_xi^2); eta-independent,
-    so cacheable per scenario and grid."""
-    model = scenario.config.model
-    payload = json.dumps(
-        {"jump": model.jump_coeff, "lo": float(x[0]), "hi": float(x[-1]), "nodes": int(x.size), "sd": sd_xi},
-        sort_keys=True,
-        default=str,
-    )
-    key = hashlib.sha256(payload.encode()).hexdigest()
-    if key in _JUMP_KERNEL_CACHE:
-        _JUMP_KERNEL_CACHE.move_to_end(key)
-        return _JUMP_KERNEL_CACHE[key]
-    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
-    K = _kernel_rows(x, x, np.abs(cvals) * sd_xi)
-    _JUMP_KERNEL_CACHE[key] = K
-    while len(_JUMP_KERNEL_CACHE) > _TRANSITION_CACHE_MAX:
-        _JUMP_KERNEL_CACHE.popitem(last=False)
-    return K
-
-
 def _apply_jump_convolution(density: GridDensity, scenario: ValidatedScenario, eta_hat: np.ndarray) -> np.ndarray:
     """Push the density through the conditional signal jump."""
     law = scenario.jump_law
     x = density.x
     if law.xi_is_zero():
         return density.p
+    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
 
-    probe = law.conditional_xi(np.array([0.0])) if law.eta_has_density else None
-    if isinstance(probe, GaussianDistribution) and law.spec.kind == "gaussian_product":
-        sd = float(np.sqrt(probe.cov[0, 0]))
+    if law.spec.kind == "gaussian_product":
+        # eta-independent, so one band per scenario and grid serves every event
+        sd = float(np.sqrt(law.Q[0, 0]))
         if sd == 0.0:
             return density.p
-        return _apply_kernel(density, _jump_kernel_unconditional(scenario, x, sd))
+        spec = {"jump": scenario.config.model.jump_coeff}
+        return _apply_band(density, _memo_band(spec, x, sd, lambda: _kernel_rows(x, x, np.abs(cvals) * sd)))
 
-    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
-    w = density.trapz_weights()
-    masses = density.p * w
-    out_m = np.zeros_like(masses)
-    active = masses > 0.0
     if law.spec.kind == "gaussian_joint":
         # conditional law N(slope * eta, s2) per node; s2 shared, mean varies
         g = law.conditional_xi(eta_hat[:1].reshape(1))
         s2 = float(g.cov[0, 0])
         cov = np.asarray(law.spec.cov, dtype=float)
         mu = (cov[0, 1] / cov[1, 1]) * eta_hat
-        K = _kernel_rows(x, x + cvals * mu, np.abs(cvals) * np.sqrt(s2))
-        return _apply_kernel(density, K)
+        return _apply_band(density, _kernel_rows(x, x + cvals * mu, np.abs(cvals) * np.sqrt(s2)))
 
-    if isinstance(law.xi_marginal(), DiscreteDistribution) or law.spec.kind == "discrete":
-        dx = density.dx
-        for k in np.nonzero(active)[0]:
+    if law.spec.kind == "discrete":
+        # one splat per (node, atom), accumulated in node then atom order
+        w = density.trapz_weights()
+        masses = density.p * w
+        nodes, atoms, probs = [], [], []
+        for k in np.nonzero(masses > 0.0)[0]:
             cond = law.conditional_xi(np.array([eta_hat[k]]))
-            if isinstance(cond, PointMass):
-                atoms, probs = cond.points.reshape(1), np.array([1.0])
-            else:
-                atoms, probs = cond.points[:, 0], cond.probs
-            targets = x[k] + cvals[k] * atoms
-            for tgt, pr in zip(targets, probs):
-                row = np.zeros(x.size)
-                _fill_pointlike_row(row, x, float(tgt), 0.0, dx)
-                out_m += masses[k] * pr * row
+            nodes.append(np.full(cond.probs.size, k))
+            atoms.append(cond.points[:, 0])
+            probs.append(cond.probs)
+        nodes, atoms, probs = (np.concatenate(a) for a in (nodes, atoms, probs))
+        targets, weights = _pointlike_rows(x, x[nodes] + cvals[nodes] * atoms, np.zeros(nodes.size))
+        out_m = np.bincount(targets.ravel(), ((masses[nodes] * probs)[:, None] * weights).ravel(), minlength=x.size)
         return out_m / w
 
     raise UnsupportedScenario(f"grid jump convolution for law kind {law.spec.kind!r}")

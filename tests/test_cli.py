@@ -4,6 +4,7 @@ Everything runs through subprocess so the argv recorded in the manifest
 matches what a shell user would produce.
 """
 
+import csv
 import filecmp
 import json
 import subprocess
@@ -147,7 +148,7 @@ def _off_lattice_config(tmp: Path) -> Path:
     return path
 
 
-def test_off_lattice_times_skip_grid_under_all(tmp_path, run_cli):
+def test_off_lattice_times_run_grid_under_all(tmp_path, run_cli):
     out = tmp_path / "fil"
     proc = run_cli(
         [
@@ -157,21 +158,27 @@ def test_off_lattice_times_skip_grid_under_all(tmp_path, run_cli):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "skipping grid" in proc.stderr
+    assert "skipping" not in proc.stderr
     assert "Traceback" not in proc.stderr
     names = {p.name for p in out.iterdir()}
-    assert {"kalman_trajectory.csv", "ks_trajectory.csv", "zakai_trajectory.csv"} <= names
-    assert "grid_trajectory.csv" not in names
+    assert {"kalman_trajectory.csv", "ks_trajectory.csv", "zakai_trajectory.csv", "grid_trajectory.csv"} <= names
 
 
-def test_off_lattice_times_grid_only_exits_3(tmp_path, run_cli):
-    proc = run_cli(
-        ["filter", str(_off_lattice_config(tmp_path)), "--method", "grid", "--out", str(tmp_path / "x")],
-        tmp_path,
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "not a multiple of substep" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_off_lattice_times_grid_only_matches_kalman(tmp_path, run_cli):
+    # the grid ends each interval with a partial substep, so it runs on
+    # 0.3333 and agrees with the exact filter as well as on the lattice
+    cfg = str(_off_lattice_config(tmp_path))
+    for method in ("grid", "kalman"):
+        proc = run_cli(["filter", cfg, "--method", method, "--out", str(tmp_path / method)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+    with open(tmp_path / "grid" / "grid_trajectory.csv") as fg, open(tmp_path / "kalman" / "kalman_trajectory.csv") as fk:
+        grid_rows, kalman_rows = list(csv.DictReader(fg)), list(csv.DictReader(fk))
+    assert [(r["t"], r["side"]) for r in grid_rows] == [(r["t"], r["side"]) for r in kalman_rows]
+    assert ("0.33329999999999999", "pre") in [(r["t"], r["side"]) for r in grid_rows]
+    for g, k in zip(grid_rows, kalman_rows):
+        assert abs(float(g["mean"]) - float(k["m_1"])) < 1e-3
+        assert abs(float(g["var"]) - float(k["P_11"])) < 1e-3
 
 
 def test_unknown_scenario_exits_2(tmp_path, run_cli):

@@ -6,6 +6,7 @@ there has a closed form through the Kalman recursion.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def test_ou_relaxation_matches_euler_moment_recursion(ou_scenario):
     out = grid.grid_propagate(dens, ou_scenario, 0.5)
     assert out.mean() == pytest.approx(m_ref, abs=1e-4)
     assert out.var() == pytest.approx(v_ref, abs=1e-4)
+
+
+def test_off_lattice_interval_ends_with_partial_substep(ou_scenario):
+    # 0.5003 is 500 substeps of dt and one of 0.0003, as the particles and
+    # the simulator step it; the grid's moments follow the Euler moment map
+    # of those steps, and leaving out the last one moves the mean by 2e-4
+    x = np.linspace(-2.0, 4.0, 1201)
+    dens = grid.init_density(x, 1.0)
+    m_ref, v_ref = dens.mean(), dens.var()
+    for h in [ou_scenario.dt] * 500 + [0.5003 - 500 * ou_scenario.dt]:
+        m_ref, v_ref = (1.0 - h) * m_ref, (1.0 - h) ** 2 * v_ref + 0.25 * h
+    out = grid.grid_propagate(dens, ou_scenario, 0.5003)
+    assert out.mean() == pytest.approx(m_ref, abs=1e-9)
+    assert out.var() == pytest.approx(v_ref, abs=1e-9)
 
 
 def test_event_update_matches_kalman(ou_scenario):
@@ -143,6 +158,22 @@ def test_filter_refinement_self_consistency(ou_scenario):
     assert coarse.means.ndim == 2 and coarse.vars.ndim == 2
 
 
+def test_cold_filter_memory_peak(ou_scenario):
+    # guards against dense operators: one G x G matrix at the default 2,000
+    # nodes is 32 MB, and a filter on dense binary powers peaks near 320 MB;
+    # the domain is one no other test uses, so every operator is built cold
+    events = simulate.simulate_path(ou_scenario, path_id=0).events
+    lo, hi = grid.estimate_domain(ou_scenario)
+    tracemalloc.start()
+    try:
+        grid.grid_run_filter(ou_scenario, events, domain=(lo - 0.0123, hi + 0.0123))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ou_scenario.filters.grid_nodes == 2000
+    assert peak < 128e6
+
+
 def test_boundary_leak_detected(ou_scenario):
     x = np.linspace(0.9, 1.1, 101)
     dens = grid.init_density(x, 1.0)
@@ -191,3 +222,58 @@ def test_estimate_domain_deterministic(ou_scenario):
     assert d1 == d2
     lo, hi = d1
     assert lo < 0.0 < 1.0 < hi
+
+
+def _with_law(ou_scenario, jump_law, obs_fn):
+    """ou_kalman with a state-dependent jump coefficient c(x) = 1 + 0.2 x."""
+    cfg = ou_scenario.config
+    mdl = dataclasses.replace(
+        cfg.model,
+        jump_coeff={"kind": "affine", "slope": 0.2, "intercept": 1.0},
+        jump_law=jump_law,
+        obs_fn=obs_fn,
+    )
+    return model.validate(dataclasses.replace(cfg, model=mdl))
+
+
+def _jump_mean(dens, scn, dy, y_pre, cond_mean):
+    """Sum_k q_k (x_k + c_k E[xi | eta_hat_k]) from grid quantities: q_k is
+    the likelihood-weighted mass of node k, eta_hat_k = dy - f(x_k, y_pre)."""
+    x = dens.x
+    eta_hat = dy - scn.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
+    q = dens.p * np.exp(scn.jump_law.eta_log_density(eta_hat[:, None])) * dens.trapz_weights()
+    q /= q.sum()
+    c = scn.jump_coeff(x[:, None])[:, 0, 0]
+    return float(np.sum(q * (x + c * cond_mean(eta_hat))))
+
+
+def test_gaussian_joint_jump_posterior(ou_scenario):
+    # xi and eta correlated: E[xi | eta] = (0.0025 / 0.01) eta, so the jump
+    # mean differs by node through eta_hat = dy - x
+    law = model.JumpLawSpec(kind="gaussian_joint", cov=((0.04, 0.0025), (0.0025, 0.01)))
+    scn = _with_law(ou_scenario, law, ou_scenario.config.model.obs_fn)
+    x = np.linspace(-2.0, 4.0, 601)
+    dens = grid.grid_propagate(grid.init_density(x, 1.0), scn, 0.5)
+    dy, y_pre = 0.8, 1.0
+    post = grid.grid_event_update(dens, scn, dy, y_pre)
+    assert post.mass() == pytest.approx(1.0, abs=1e-12)
+    want = _jump_mean(dens, scn, dy, y_pre, lambda eta: 0.25 * eta)
+    assert post.mean() == pytest.approx(want, abs=1e-12)
+
+
+def test_discrete_jump_posterior(ou_scenario):
+    # f = 0 makes eta_hat = dy at every node; dy = 0.1 matches the first two
+    # atoms, so xi given eta is -0.3 or 0.25 with odds 0.2 : 0.5
+    law = model.JumpLawSpec(
+        kind="discrete",
+        points=((-0.3, 0.1), (0.25, 0.1), (0.5, -0.2)),
+        probs=(0.2, 0.5, 0.3),
+    )
+    obs = {"kind": "affine_xy", "a": 0.0, "c": 0.0, "intercept": 0.0}
+    scn = _with_law(ou_scenario, law, obs)
+    x = np.linspace(-2.0, 4.0, 601)
+    dens = grid.grid_propagate(grid.init_density(x, 1.0), scn, 0.5)
+    post = grid.grid_event_update(dens, scn, 0.1, 1.0)
+    assert post.mass() == pytest.approx(1.0, abs=1e-12)
+    want = _jump_mean(dens, scn, 0.1, 1.0, lambda eta: np.full(eta.shape, (0.2 * -0.3 + 0.5 * 0.25) / 0.7))
+    assert post.mean() == pytest.approx(want, abs=1e-12)
