@@ -12,7 +12,7 @@ Public surface:
     simulate    exact-event path simulation and Monte Carlo ensembles
     kalman      closed-form filter for the linear Gaussian subfamily
     particle    normalized and unnormalized (mass-tracking) particle filters
-    grid        dense-grid reference filter, scalar scenarios only
+    grid        banded-kernel grid reference filter, scalar scenarios only
     diagnostics consistency checks with negative controls
     cli         `schedfilt` command line entry point
 """

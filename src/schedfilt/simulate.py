@@ -8,7 +8,9 @@ time grid exactly so that jumps are applied at the scheduled instant:
 
 Observations are therefore always of the pre-jump state.  Diffusion
 increments and marks come from separate per-path streams, so refining dt
-leaves the realized marks unchanged.
+leaves the realized marks unchanged.  One engine, `_euler`, steps a block
+of paths and holds the threshold trigger; `simulate_path` runs it on one
+path and `run_ensemble` on chunks of many.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     NumericalBlowup,
     ScheduleExhaustedHorizon,
     UnsupportedScenario,
+    ValidationError,
 )
 from .model import ValidatedScenario
 
@@ -34,7 +37,6 @@ __all__ = [
     "build_time_grid",
     "simulate_path",
     "run_ensemble",
-    "resolve_threshold_times",
     "empirical_compensator_check_data",
 ]
 
@@ -105,25 +107,6 @@ def _scheduled_times(scenario: ValidatedScenario) -> tuple[list[float], list[str
     return [float(s) for s in sched.obs_grid], warnings_list
 
 
-def resolve_threshold_times(thresholds, obs_grid, y_entering) -> np.ndarray:
-    """Trigger times for falling thresholds, aligned with the thresholds tuple.
-
-    `y_entering[j]` is the observed level entering grid time `obs_grid[j]`
-    (its left limit, known causally since Y is constant between events).
-    Threshold i triggers at the first grid time with level <= thresholds[i];
-    +inf if never.  Each threshold triggers at most once and never resets.
-    """
-    thr = np.asarray(thresholds, dtype=float)
-    grid = np.asarray(obs_grid, dtype=float)
-    y = np.asarray(y_entering, dtype=float).reshape(len(grid), -1)[:, 0]
-    out = np.full(thr.shape, np.inf)
-    for i, level in enumerate(thr):
-        hits = np.nonzero(y <= level)[0]
-        if hits.size:
-            out[i] = grid[hits[0]]
-    return out
-
-
 def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | None = None) -> SimulationResult:
     """Simulate one signal/observation path.
 
@@ -131,80 +114,115 @@ def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | Non
     bit for bit.  `seed` defaults to the scenario seed.
     """
     seed = scenario.seed if seed is None else seed
-    rng_diff = rngs.stream(seed, rngs.PATH_DIFFUSION, path_id)
-    rng_marks = rngs.stream(seed, rngs.PATH_MARKS, path_id)
-
     special, warn_list = _scheduled_times(scenario)
     t = build_time_grid(scenario.horizon, scenario.dt, special)
-    n_steps = len(t) - 1
-    m, n = scenario.m, scenario.n
-    z = rng_diff.standard_normal((n_steps, m))
-
-    sched = scenario.schedule
-    det_rows = _node_lookup(t, special) if sched.kind == "deterministic" else {}
-    obs_rows = _node_lookup(t, special) if sched.kind == "threshold" else {}
-
-    x = scenario.x0.copy()
-    y = np.zeros(n)
-    X = np.empty((n_steps + 1, m))
-    Y = np.empty((n_steps + 1, n))
-    events: list[ObservationEvent] = []
-    event_rows: list[int] = []
-    untriggered = np.ones(len(sched.thresholds), dtype=bool)
-
-    for k in range(n_steps + 1):
-        # events fire on arrival at the node, observing the pre-jump state
-        labels: list[int | None] = []
-        if sched.kind == "deterministic" and k in det_rows:
-            labels = [None]
-        elif sched.kind == "threshold" and k in obs_rows:
-            trig = untriggered & (y[0] <= np.asarray(sched.thresholds))
-            labels = list(np.nonzero(trig)[0])
-            untriggered[trig] = False
-        for label in labels:
-            x_pre, y_pre = x.copy(), y.copy()
-            xi, eta = scenario.jump_law.sample_marks(rng_marks, 1)
-            xi, eta = xi[0], eta[0]
-            dy = scenario.obs_fn(x_pre[None, :], y_pre)[0] + eta
-            y = y + dy
-            x = x + scenario.jump_coeff(x_pre[None, :])[0] @ xi
-            events.append(
-                ObservationEvent(
-                    index=len(events) + 1,
-                    time=float(t[k]),
-                    dy=dy,
-                    y_pre=y_pre,
-                    x_pre=x_pre,
-                    xi=xi,
-                    eta=eta,
-                    threshold_label=None if label is None else int(label),
-                )
-            )
-            event_rows.append(k)
-        X[k] = x
-        Y[k] = y
-        if k < n_steps:
-            h = t[k + 1] - t[k]
-            xr = x[None, :]
-            x = x + scenario.drift(xr)[0] * h + scenario.diffusion_apply(xr, z[k : k + 1])[0] * np.sqrt(h)
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
-
-    path = SignalPath(t=t, x=X, y=Y, event_rows=np.asarray(event_rows, dtype=int))
+    draws = _draws(scenario, seed, [path_id], len(t) - 1, scenario.schedule.n_events)
+    x, y, _, fired = _euler(scenario, t, draws, _grid_rows(t, special, "event time"), range(len(t)))
+    events = [
+        ObservationEvent(j + 1, float(t[k]), *(a[0] for a in arrays), threshold_label=label)
+        for j, (k, label, *arrays) in enumerate(fired)
+    ]
+    path = SignalPath(t=t, x=x[:, 0], y=y[:, 0], event_rows=np.asarray([e[0] for e in fired], dtype=int))
     return SimulationResult(path=path, events=events, warnings=warn_list)
 
 
-def _node_lookup(t: np.ndarray, times) -> dict[int, float]:
-    lookup = {}
+def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
+    """Row of each time on the grid t, within _MERGE_TOL."""
+    rows = []
     for s in times:
         k = int(np.argmin(np.abs(t - s)))
-        if abs(t[k] - s) <= _MERGE_TOL:
-            lookup[k] = float(s)
-    return lookup
+        if abs(t[k] - s) > _MERGE_TOL:
+            raise ValidationError(f"{what} {s} does not lie on the simulation grid")
+        rows.append(k)
+    return rows
+
+
+def _draws(scenario: ValidatedScenario, seed: int, paths, n_steps: int, n_marks: int, antithetic: bool = False):
+    """Normals z (P, n_steps, m) and marks xi (P, n_marks, m), eta (P, n_marks, n)
+    for the path ids `paths`, each path from its own streams.  With
+    `antithetic`, an odd path negates the draws of the path before it."""
+    m, n, P = scenario.m, scenario.n, len(paths)
+    z, xi, eta = np.empty((P, n_steps, m)), np.empty((P, n_marks, m)), np.empty((P, n_marks, n))
+    for j, p in enumerate(paths):
+        if antithetic and p % 2:
+            z[j], xi[j], eta[j] = -z[j - 1], -xi[j - 1], -eta[j - 1]
+            continue
+        z[j] = rngs.stream(seed, rngs.PATH_DIFFUSION, p).standard_normal((n_steps, m))
+        rng_marks = rngs.stream(seed, rngs.PATH_MARKS, p)
+        for i in range(n_marks):
+            xi_i, eta_i = scenario.jump_law.sample_marks(rng_marks, 1)
+            xi[j, i], eta[j, i] = xi_i[0], eta_i[0]
+    return z, xi, eta
+
+
+def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_rows, integrands=()):
+    """Step the (P, m) block of paths that `draws` gives across the grid t.
+
+    At the rows of a deterministic schedule, event i fires on every path
+    with mark i.  At the observation-grid rows of a threshold schedule, the
+    labels whose threshold the entering level Y[:, 0] has reached, and that
+    have not fired before, fire in label order on those paths.  Thresholds
+    fall, so a path's labels fire in the order 0, 1, ..., and label i takes
+    the path's i-th mark.  Returns x (S, P, m), y (S, P, n) and the
+    trapezoid integrals (S, P, G) at `snap_rows`, and per event the tuple
+    (row, label, dy, y_pre, x_pre, xi, eta) over the paths it fired on.
+    """
+    z, xi_all, eta_all = draws
+    P, n_steps, m = z.shape
+    sched = scenario.schedule
+    thresholds = np.asarray(sched.thresholds) if sched.kind == "threshold" else None
+    untriggered = np.ones((P, sched.n_events), dtype=bool)
+    at_row: dict[int, list[int]] = {}
+    for i, k in enumerate(event_rows):
+        at_row.setdefault(k, []).append(i)
+    snaps: dict[int, list[int]] = {}
+    for s, k in enumerate(snap_rows):
+        snaps.setdefault(k, []).append(s)
+    G, S = len(integrands), len(snap_rows)
+    x_out, y_out, int_out = np.empty((S, P, m)), np.empty((S, P, scenario.n)), np.empty((S, P, G))
+    fired = []
+
+    x = np.broadcast_to(scenario.x0, (P, m)).copy()
+    y = np.zeros((P, scenario.n))
+    acc = np.zeros((P, G))
+    g_prev = _eval_integrands(integrands, x) if G else None
+    hs = np.diff(t)
+    sqrt_hs = np.sqrt(hs)
+    for k in range(n_steps + 1):
+        # events fire on arrival at the row, observing the pre-jump state
+        if k in at_row:
+            if thresholds is None:
+                firing = [(slice(None), i, None) for i in at_row[k]]
+            else:
+                trig = untriggered & (y[:, :1] <= thresholds)
+                untriggered &= ~trig
+                firing = [(np.flatnonzero(col), label, label) for label, col in enumerate(trig.T) if col.any()]
+            for paths, mark, label in firing:
+                x_pre, y_pre = x[paths].copy(), y[paths].copy()
+                xi, eta = xi_all[paths, mark], eta_all[paths, mark]
+                dy = scenario.obs_fn(x_pre, y_pre) + eta
+                y[paths] = y_pre + dy
+                x[paths] = x_pre + np.einsum("pij,pj->pi", scenario.jump_coeff(x_pre), xi)
+                fired.append((k, label, dy, y_pre, x_pre, xi, eta))
+            if G and firing:
+                g_prev = _eval_integrands(integrands, x)
+        for s in snaps.get(k, ()):
+            x_out[s], y_out[s] = x, y
+            if G:
+                int_out[s] = acc
+        if k < n_steps:
+            x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, z[:, k]) * sqrt_hs[k]
+            if not np.all(np.isfinite(x)):
+                raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
+            if G:
+                g_now = _eval_integrands(integrands, x)
+                acc += 0.5 * hs[k] * (g_prev + g_now)
+                g_prev = g_now
+    return x_out, y_out, int_out, fired
 
 
 # ---------------------------------------------------------------------------
-# vectorized ensembles (deterministic schedules)
+# ensembles (deterministic schedules)
 
 
 @dataclass(frozen=True)
@@ -243,102 +261,37 @@ def run_ensemble(
     if scenario.schedule.kind != "deterministic":
         raise UnsupportedScenario("run_ensemble supports deterministic schedules only")
     if antithetic and n_paths % 2:
-        raise ValueError("antithetic ensembles need an even number of paths")
+        raise ValidationError("antithetic ensembles need an even number of paths")
     if antithetic and scenario.jump_law.spec.kind == "discrete":
         raise UnsupportedScenario("antithetic pairing is undefined for discrete mark laws")
 
+    if antithetic:
+        chunk_size += chunk_size % 2  # a mirrored pair must share a chunk
     seed = scenario.seed if seed is None else seed
     event_times, _ = _scheduled_times(scenario)
     t = build_time_grid(scenario.horizon, scenario.dt, event_times)
     ckpts = np.asarray(sorted(float(c) for c in checkpoint_times), dtype=float)
-    ckpt_rows = []
-    for c in ckpts:
-        k = int(np.argmin(np.abs(t - c)))
-        if abs(t[k] - c) > _MERGE_TOL:
-            raise ValueError(f"checkpoint {c} does not lie on the simulation grid")
-        ckpt_rows.append(k)
-    event_rows = [int(np.argmin(np.abs(t - s))) for s in event_times]
-    row_events = {k: i for i, k in enumerate(event_rows)}
-
-    m, n = scenario.m, scenario.n
-    K, C, G = len(event_times), len(ckpts), len(integrands)
-    n_steps = len(t) - 1
-    hs = np.diff(t)
-
-    out_xc = np.empty((n_paths, C, m))
-    out_int = np.empty((n_paths, C, G))
-    out_xpre = np.empty((n_paths, K, m))
-    out_ypre = np.empty((n_paths, K, n))
-    out_dy = np.empty((n_paths, K, n))
-    out_xi = np.empty((n_paths, K, m))
-    out_eta = np.empty((n_paths, K, n))
-
+    ckpt_rows = _grid_rows(t, ckpts, "checkpoint")
+    event_rows = _grid_rows(t, event_times, "event time")
+    m, n, K, C = scenario.m, scenario.n, len(event_times), len(ckpts)
+    dims = {"dy": n, "y_pre": n, "x_pre": m, "xi": m, "eta": n}  # the order of _euler's events
+    out = EnsembleResult(
+        checkpoint_times=ckpts,
+        x_checkpoints=np.empty((n_paths, C, m)),
+        integrals=np.empty((n_paths, C, len(integrands))),
+        event_times=np.asarray(event_times),
+        **{name: np.empty((n_paths, K, d)) for name, d in dims.items()},
+    )
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        P = hi - lo
-        z = np.empty((P, n_steps, m))
-        xi_all = np.empty((P, K, m))
-        eta_all = np.empty((P, K, n))
-        for p in range(lo, hi):
-            if antithetic and p % 2:
-                z[p - lo] = -z[p - 1 - lo]
-                xi_all[p - lo] = -xi_all[p - 1 - lo]
-                eta_all[p - lo] = -eta_all[p - 1 - lo]
-                continue
-            z[p - lo] = rngs.stream(seed, rngs.PATH_DIFFUSION, p).standard_normal((n_steps, m))
-            rng_marks = rngs.stream(seed, rngs.PATH_MARKS, p)
-            for i in range(K):
-                xi_i, eta_i = scenario.jump_law.sample_marks(rng_marks, 1)
-                xi_all[p - lo, i] = xi_i[0]
-                eta_all[p - lo, i] = eta_i[0]
-
-        x = np.broadcast_to(scenario.x0, (P, m)).copy()
-        y = np.zeros((P, n))
-        acc = np.zeros((P, G))
-        g_prev = _eval_integrands(integrands, x) if G else None
-        ckpt_map = {}
-        for idx, k in enumerate(ckpt_rows):
-            ckpt_map.setdefault(k, []).append(idx)
-
-        for k in range(n_steps + 1):
-            if k in row_events:
-                i = row_events[k]
-                x_pre, y_pre = x.copy(), y.copy()
-                dy = scenario.obs_fn(x_pre, y_pre) + eta_all[:, i]
-                y = y + dy
-                x = x + np.einsum("pij,pj->pi", scenario.jump_coeff(x_pre), xi_all[:, i])
-                out_xpre[lo:hi, i] = x_pre
-                out_ypre[lo:hi, i] = y_pre
-                out_dy[lo:hi, i] = dy
-                out_xi[lo:hi, i] = xi_all[:, i]
-                out_eta[lo:hi, i] = eta_all[:, i]
-                if G:
-                    g_prev = _eval_integrands(integrands, x)
-            for idx in ckpt_map.get(k, ()):
-                out_xc[lo:hi, idx] = x
-                if G:
-                    out_int[lo:hi, idx] = acc
-            if k < n_steps:
-                h = hs[k]
-                x = x + scenario.drift(x) * h + scenario.diffusion_apply(x, z[:, k]) * np.sqrt(h)
-                if not np.all(np.isfinite(x)):
-                    raise NumericalBlowup(f"ensemble state became non-finite at t = {t[k + 1]:.6g}")
-                if G:
-                    g_now = _eval_integrands(integrands, x)
-                    acc += 0.5 * h * (g_prev + g_now)
-                    g_prev = g_now
-
-    return EnsembleResult(
-        checkpoint_times=ckpts,
-        x_checkpoints=out_xc,
-        integrals=out_int,
-        event_times=np.asarray(event_times),
-        x_pre=out_xpre,
-        y_pre=out_ypre,
-        dy=out_dy,
-        xi=out_xi,
-        eta=out_eta,
-    )
+        draws = _draws(scenario, seed, range(lo, hi), len(t) - 1, K, antithetic)
+        x, _, integrals, fired = _euler(scenario, t, draws, event_rows, ckpt_rows, integrands)
+        del draws  # free the (P, steps, m) normals before the next chunk draws its own
+        out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x.swapaxes(0, 1), integrals.swapaxes(0, 1)
+        for i, event in enumerate(fired):
+            for name, value in zip(dims, event[2:]):
+                getattr(out, name)[lo:hi, i] = value
+    return out
 
 
 def _eval_integrands(integrands, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,16 @@ def medical_scenario():
 
 
 @pytest.fixture(scope="session")
+def medical_firing_scenario():
+    """`medical` with thresholds that fire: label 0 (level 0.0 = Y_0) at the
+    first visit of every path, the lower ones as the score falls, several
+    labels at one visit on many paths."""
+    cfg = PRESETS["medical"]()
+    schedule = dataclasses.replace(cfg.schedule, thresholds=(0.0, -0.05, -0.1, -0.2))
+    return model.validate(dataclasses.replace(cfg, schedule=schedule))
+
+
+@pytest.fixture(scope="session")
 def credit_scenario():
     return build_preset("credit_risk")
 

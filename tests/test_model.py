@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ def test_round_trip_all_presets_bit_exact():
         back = model.scenario_from_json(text)
         assert back == cfg
         assert model.scenario_to_json(back) == text
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_shipped_config_equals_preset(name):
+    # presets.py declares configs/<preset>.json equal to its builder
+    text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text(encoding="utf-8")
+    cfg = model.scenario_from_json(text)
+    assert cfg == PRESETS[name]()
+    assert model.scenario_to_dict(cfg) == json.loads(text)
 
 
 def test_json_full_precision():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedfilt import model, rngs, simulate
-from schedfilt.errors import ScheduleExhaustedHorizon
+from schedfilt.errors import ScheduleExhaustedHorizon, ValidationError
 from schedfilt.presets import PRESETS, build_preset
 
 
@@ -107,56 +107,54 @@ def test_ou_moments_at_fixed_time(ou_scenario):
 # ---------------------------------------------------------------------------
 # schedules
 
-def test_threshold_trigger_single():
-    times = simulate.resolve_threshold_times((0.5,), (1.0, 2.0, 3.0), (0.9, 0.7, 0.4))
-    np.testing.assert_allclose(times, [3.0])
+def _check_threshold_events(res, sched):
+    """The trigger rule against the recorded path: label i fires once, at the
+    first visit whose entering level Y_{t-} (the row before) is <= theta_i,
+    labels at one visit in ascending order, lower thresholds never earlier."""
+    rows = [int(np.argmin(np.abs(res.path.t - g))) for g in sched.obs_grid]
+    fired = {}
+    for k, ev in zip(res.path.event_rows, res.events):
+        assert ev.threshold_label not in fired  # at most once
+        fired[ev.threshold_label] = int(k)
+    assert set(fired) <= set(range(len(sched.thresholds)))
+    for k in set(fired.values()):
+        at_visit = [ev.threshold_label for r, ev in zip(res.path.event_rows, res.events) if r == k]
+        assert at_visit == sorted(at_visit)
+    first = []
+    for i, level in enumerate(sched.thresholds):
+        crossed = [k for k in rows if res.path.y[k - 1, 0] <= level]
+        assert fired.get(i) == (crossed[0] if crossed else None)
+        first.append(crossed[0] if crossed else np.inf)
+    assert first == sorted(first)  # a lower threshold never fires earlier
 
 
-def test_threshold_trigger_ordering():
-    # levels (0.8, 0.5); entering values 0.7 then 0.45: first threshold at
-    # t=1, second at t=2
-    times = simulate.resolve_threshold_times((0.8, 0.5), (1.0, 2.0), (0.7, 0.45))
-    np.testing.assert_allclose(times, [1.0, 2.0])
-
-
-def test_threshold_never_resets():
-    # level recovers above the threshold; the trigger must not re-arm
-    times = simulate.resolve_threshold_times((0.5,), (1.0, 2.0, 3.0), (0.4, 0.9, 0.3))
-    np.testing.assert_allclose(times, [1.0])
-
-
-def test_untriggered_threshold_is_inf():
-    times = simulate.resolve_threshold_times((0.1,), (1.0, 2.0), (0.9, 0.8))
-    assert np.isposinf(times[0])
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    levels=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True),
-    ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    levels=st.lists(st.floats(-0.4, 0.05), min_size=1, max_size=4, unique=True),
+    path_id=st.integers(0, 200),
 )
-def test_threshold_resolution_properties(levels, ys):
-    thr = tuple(sorted(levels, reverse=True))
-    grid = tuple(float(i + 1) for i in range(len(ys)))
-    times = simulate.resolve_threshold_times(thr, grid, ys)
-    for level, t in zip(thr, times):
-        if np.isfinite(t):
-            j = grid.index(t)
-            assert ys[j] <= level
-            assert all(ys[k] > level for k in range(j))  # first crossing
-        else:
-            assert all(y > level for y in ys)
-    # lower thresholds never fire before higher ones
-    assert all(b >= a for a, b in zip(times, times[1:]))
+def test_threshold_trigger_rule(medical_firing_scenario, levels, path_id):
+    sched = dataclasses.replace(medical_firing_scenario.schedule, thresholds=tuple(sorted(levels, reverse=True)))
+    scn = model.validate(dataclasses.replace(medical_firing_scenario.config, schedule=sched))
+    _check_threshold_events(simulate.simulate_path(scn, path_id=path_id), sched)
 
 
-def test_medical_threshold_path_events(medical_scenario):
-    res = simulate.simulate_path(medical_scenario, path_id=0)
-    sched = medical_scenario.schedule
-    for ev in res.events:
-        assert ev.threshold_label is not None
-        assert float(ev.y_pre[0]) <= sched.thresholds[ev.threshold_label]
-        assert any(abs(ev.time - g) < 1e-12 for g in sched.obs_grid)
+def test_medical_threshold_path_events(medical_firing_scenario):
+    sched = medical_firing_scenario.schedule
+    shared = 0
+    for p in range(40):
+        res = simulate.simulate_path(medical_firing_scenario, path_id=p)
+        assert res.events, f"path {p} has no events"
+        assert res.events[0].time == sched.obs_grid[0] and res.events[0].threshold_label == 0
+        _check_threshold_events(res, sched)
+        # a path's j-th event takes the j-th draw of its mark stream
+        marks = rngs.stream(medical_firing_scenario.seed, rngs.PATH_MARKS, p)
+        for ev in res.events:
+            xi, eta = medical_firing_scenario.jump_law.sample_marks(marks, 1)
+            np.testing.assert_array_equal(ev.xi, xi[0])
+            np.testing.assert_array_equal(ev.eta, eta[0])
+        shared += len(res.events) - len(set(res.path.event_rows.tolist()))
+    assert shared > 0, "no visit fired several labels"
 
 
 def test_scheduled_time_beyond_horizon_warns():
@@ -234,6 +232,13 @@ def test_antithetic_rejected_for_discrete_marks():
         simulate.run_ensemble(scn, 4, checkpoint_times=[0.4], antithetic=True)
 
 
+def test_run_ensemble_typed_errors(ou_scenario):
+    with pytest.raises(ValidationError, match="even number"):
+        simulate.run_ensemble(ou_scenario, 3, antithetic=True)
+    with pytest.raises(ValidationError, match="checkpoint"):
+        simulate.run_ensemble(ou_scenario, 2, checkpoint_times=[0.4005])
+
+
 def test_ensemble_deterministic(ou_scenario):
     a = simulate.run_ensemble(ou_scenario, 16, checkpoint_times=[2.0])
     b = simulate.run_ensemble(ou_scenario, 16, checkpoint_times=[2.0])
@@ -275,8 +280,14 @@ def _with_off_lattice_events(scenarios):
     return out
 
 
-def test_simulate_path_matches_reference_euler(euler_scenarios):
-    for name, scn in _with_off_lattice_events(euler_scenarios).items():
+def _einsum_jump(c, xi):
+    return np.einsum("pij,pj->pi", c, xi)
+
+
+def test_simulate_path_matches_reference_euler(euler_scenarios, medical_firing_scenario):
+    scenarios = _with_off_lattice_events(euler_scenarios)
+    scenarios["medical_firing"] = medical_firing_scenario  # several jumps at one row
+    for name, scn in scenarios.items():
         for p in range(2):
             res = simulate.simulate_path(scn, path_id=p)
             t = res.path.t
@@ -284,7 +295,7 @@ def test_simulate_path_matches_reference_euler(euler_scenarios):
             jumps = {}
             for k, ev in zip(res.path.event_rows, res.events):
                 jumps.setdefault(int(k), []).append(ev.xi[None, :])
-            xs, x_pre = _reference_euler(scn, t, z[None], jumps, lambda c, xi: c[0] @ xi[0])
+            xs, x_pre = _reference_euler(scn, t, z[None], jumps, _einsum_jump)
             np.testing.assert_array_equal(res.path.x, xs[0], err_msg=f"{name} path {p}")
             np.testing.assert_array_equal(
                 x_pre[0], np.reshape([ev.x_pre for ev in res.events], (-1, scn.m)), err_msg=name
@@ -302,7 +313,8 @@ def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
     )
     n_paths = 4
     for name, scn in scenarios.items():
-        ens = simulate.run_ensemble(scn, n_paths, checkpoint_times=[scn.horizon], antithetic=antithetic)
+        # chunks of 3 paths: an antithetic pair must not be split across chunks
+        ens = simulate.run_ensemble(scn, n_paths, checkpoint_times=[scn.horizon], antithetic=antithetic, chunk_size=3)
         t = simulate.build_time_grid(scn.horizon, scn.dt, ens.event_times)
         rows = [int(np.argmin(np.abs(t - s))) for s in ens.event_times]
         z = np.stack(
@@ -314,6 +326,6 @@ def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
         if antithetic:
             z[1::2] = -z[0::2]
         jumps = {k: [ens.xi[:, i]] for i, k in enumerate(rows)}
-        xs, x_pre = _reference_euler(scn, t, z, jumps, lambda c, xi: np.einsum("pij,pj->pi", c, xi))
+        xs, x_pre = _reference_euler(scn, t, z, jumps, _einsum_jump)
         np.testing.assert_array_equal(ens.x_checkpoints[:, 0], xs[:, -1], err_msg=name)
         np.testing.assert_array_equal(ens.x_pre, x_pre, err_msg=name)
