@@ -128,14 +128,71 @@ def _check_threshold_events(res, sched):
     assert first == sorted(first)  # a lower threshold never fires earlier
 
 
+def _with_thresholds(scn, thresholds):
+    sched = dataclasses.replace(scn.schedule, thresholds=tuple(thresholds))
+    return model.validate(dataclasses.replace(scn.config, schedule=sched)), sched
+
+
+def _entering_levels(res, sched):
+    return [res.path.y[int(np.argmin(np.abs(res.path.t - g))) - 1, 0] for g in sched.obs_grid]
+
+
+def test_threshold_trigger_single(medical_firing_scenario):
+    # one level at Y_0 = 0: it fires once, at the first visit
+    scn, sched = _with_thresholds(medical_firing_scenario, (0.0,))
+    for p in range(6):
+        res = simulate.simulate_path(scn, path_id=p)
+        assert [(ev.time, ev.threshold_label) for ev in res.events] == [(sched.obs_grid[0], 0)]
+        _check_threshold_events(res, sched)
+
+
+def test_threshold_trigger_ordering(medical_firing_scenario):
+    # labels fire in threshold order, at distinct visits or together at one
+    split = together = False
+    for p in range(40):
+        res = simulate.simulate_path(medical_firing_scenario, path_id=p)
+        assert [ev.threshold_label for ev in res.events] == list(range(len(res.events)))
+        times = [ev.time for ev in res.events]
+        assert times == sorted(times)
+        split |= len(set(times[:2])) == 2
+        together |= len(set(times)) < len(times)
+    assert split and together
+
+
+def test_threshold_never_resets(medical_firing_scenario):
+    # a fired label stays fired, whether the level stays at or below its
+    # threshold at later visits or recovers above it
+    sched = medical_firing_scenario.schedule
+    stays = recovers = False
+    for p in range(40):
+        res = simulate.simulate_path(medical_firing_scenario, path_id=p)
+        labels = [ev.threshold_label for ev in res.events]
+        assert len(labels) == len(set(labels))
+        ys = _entering_levels(res, sched)
+        for i in labels:
+            j = next(j for j, y in enumerate(ys) if y <= sched.thresholds[i])
+            later = [y <= sched.thresholds[i] for y in ys[j + 1:]]
+            stays |= any(later)
+            recovers |= not all(later)
+    assert stays and recovers
+
+
+def test_untriggered_threshold_is_inf(medical_firing_scenario):
+    # a level below Y_0 = 0 is never reached, since Y moves only at events
+    scn, sched = _with_thresholds(medical_firing_scenario, (-0.1,))
+    for p in range(6):
+        res = simulate.simulate_path(scn, path_id=p)
+        assert res.events == [] and len(res.path.event_rows) == 0
+        assert all(y > -0.1 for y in _entering_levels(res, sched))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     levels=st.lists(st.floats(-0.4, 0.05), min_size=1, max_size=4, unique=True),
     path_id=st.integers(0, 200),
 )
-def test_threshold_trigger_rule(medical_firing_scenario, levels, path_id):
-    sched = dataclasses.replace(medical_firing_scenario.schedule, thresholds=tuple(sorted(levels, reverse=True)))
-    scn = model.validate(dataclasses.replace(medical_firing_scenario.config, schedule=sched))
+def test_threshold_resolution_properties(medical_firing_scenario, levels, path_id):
+    scn, sched = _with_thresholds(medical_firing_scenario, sorted(levels, reverse=True))
     _check_threshold_events(simulate.simulate_path(scn, path_id=path_id), sched)
 
 
