@@ -7,7 +7,7 @@ are expected to fail; the test suite asserts both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,9 +186,9 @@ def check_ks_residual(
     if seed is None:
         seed = scenario.seed
     if tol is None:
-        tol = 1e-6 if scenario.jump_law.xi_is_zero() else 1e-3
-    if negative_control and scenario.jump_law.xi_is_zero():
-        raise ValueError("the negative control needs a scenario with signal jumps")
+        tol = 1e-6 if scenario.jump_law.xi_is_zero else 1e-3
+    if negative_control and scenario.jump_law.xi_is_zero:
+        raise UnsupportedScenario("the negative control needs a scenario with signal jumps")
     lphi = testfns.diffusion_generator(phi, scenario)
     aphi = testfns.jump_generator(phi, scenario, order=scenario.filters.quad_order_jump)
     x_nodes = grid.make_grid(scenario, n_nodes=n_nodes)
@@ -422,13 +422,13 @@ def _reference_martingale_stats(
     r_ref = float(params.R[0, 0])
     for _ in range(8):
         probe = filter_events_vectorized(
-            _with_r(params, r_ref), scenario.x0, np.zeros((1, len(times))), times
+            replace(params, R=[[r_ref]]), scenario.x0, np.zeros((1, len(times))), times
         )
         needed = 1.3 * float(np.max(probe.pred_var - r_ref))
         if needed <= r_ref:
             break
         r_ref = needed
-    params_ref = _with_r(params, r_ref)
+    params_ref = replace(params, R=[[r_ref]])
 
     rng = rngs.stream(seed, rngs.REFERENCE_OBS)
     dys = np.sqrt(r_ref) * rng.standard_normal((n_ref_paths, len(times)))
@@ -455,19 +455,6 @@ def _reference_martingale_stats(
         "ses": ses.tolist(),
         "reference_noise_variance": r_ref,
     }
-
-
-def _with_r(params: LinearModelParams, r: float) -> LinearModelParams:
-    return LinearModelParams(
-        lam=params.lam,
-        sigma_x=params.sigma_x,
-        A=params.A,
-        C=params.C,
-        Q=params.Q,
-        R=[[r]],
-        drift_const=params.drift_const,
-        obs_intercept=params.obs_intercept,
-    )
 
 
 # ---------------------------------------------------------------------------

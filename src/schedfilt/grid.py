@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rngs
 from .errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
-from .model import ValidatedScenario, walk_events
+from .model import GaussianMarks, ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
 __all__ = [
@@ -133,13 +133,12 @@ def estimate_domain(
     x = np.full(n_pilot, float(scenario.x0[0]))
     lo = hi = float(scenario.x0[0])
     law = scenario.jump_law
-    xi_marg = law.xi_marginal()
     t = 0.0
     ci = 0
     while t < horizon - 1e-12:
         while ci < len(candidate) and candidate[ci] <= t + 1e-12:
-            if not law.xi_is_zero():
-                xi = xi_marg.sample(rng, n_pilot).reshape(n_pilot)
+            if not law.xi_is_zero:
+                xi = law.sample_xi_marginal(rng, n_pilot).reshape(n_pilot)
                 cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
                 x = x + cvals * xi
             ci += 1
@@ -325,42 +324,29 @@ def _apply_jump_convolution(density: GridDensity, scenario: ValidatedScenario, e
     """Push the density through the conditional signal jump."""
     law = scenario.jump_law
     x = density.x
-    if law.xi_is_zero():
+    if law.xi_is_zero:
         return density.p
     cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
 
-    if law.spec.kind == "gaussian_product":
-        # eta-independent, so one band per scenario and grid serves every event
-        sd = float(np.sqrt(law.Q[0, 0]))
-        if sd == 0.0:
-            return density.p
-        spec = {"jump": scenario.config.model.jump_coeff}
-        return _apply_band(density, _memo_band(spec, x, sd, lambda: _kernel_rows(x, x, np.abs(cvals) * sd)))
+    if isinstance(law, GaussianMarks):
+        # xi | eta_hat = N(gain eta_hat, sd^2) at each node
+        gain, sd = float(law.gain[0, 0]), float(np.sqrt(law.cond_cov[0, 0]))
+        if gain == 0.0:
+            # eta-independent, so one band per scenario and grid serves every event
+            spec = {"jump": scenario.config.model.jump_coeff}
+            return _apply_band(density, _memo_band(spec, x, sd, lambda: _kernel_rows(x, x, np.abs(cvals) * sd)))
+        return _apply_band(density, _kernel_rows(x, x + cvals * (gain * eta_hat), np.abs(cvals) * sd))
 
-    if law.spec.kind == "gaussian_joint":
-        # conditional law N(slope * eta, s2) per node; s2 shared, mean varies
-        g = law.conditional_xi(eta_hat[:1].reshape(1))
-        s2 = float(g.cov[0, 0])
-        cov = np.asarray(law.spec.cov, dtype=float)
-        mu = (cov[0, 1] / cov[1, 1]) * eta_hat
-        return _apply_band(density, _kernel_rows(x, x + cvals * mu, np.abs(cvals) * np.sqrt(s2)))
-
-    if law.spec.kind == "discrete":
-        # one splat per (node, atom), accumulated in node then atom order
-        w = density.trapz_weights()
-        masses = density.p * w
-        nodes, atoms, probs = [], [], []
-        for k in np.nonzero(masses > 0.0)[0]:
-            cond = law.conditional_xi(np.array([eta_hat[k]]))
-            nodes.append(np.full(cond.probs.size, k))
-            atoms.append(cond.points[:, 0])
-            probs.append(cond.probs)
-        nodes, atoms, probs = (np.concatenate(a) for a in (nodes, atoms, probs))
-        targets, weights = _pointlike_rows(x, x[nodes] + cvals[nodes] * atoms, np.zeros(nodes.size))
-        out_m = np.bincount(targets.ravel(), ((masses[nodes] * probs)[:, None] * weights).ravel(), minlength=x.size)
-        return out_m / w
-
-    raise UnsupportedScenario(f"grid jump convolution for law kind {law.spec.kind!r}")
+    # discrete: one splat per (node, atom), accumulated in node then atom order
+    w = density.trapz_weights()
+    masses = density.p * w
+    live = np.flatnonzero(masses > 0.0)
+    cond = law.conditional_probs(eta_hat[live, None])
+    rows, atoms = np.nonzero(cond)
+    nodes = live[rows]
+    targets, weights = _pointlike_rows(x, x[nodes] + cvals[nodes] * law.points[atoms, 0], np.zeros(nodes.size))
+    out_m = np.bincount(targets.ravel(), ((masses[nodes] * cond[rows, atoms])[:, None] * weights).ravel(), minlength=x.size)
+    return out_m / w
 
 
 def grid_event_update(
@@ -439,7 +425,7 @@ def grid_nu_integral(
     f_vals = scenario.obs_fn(density_pre.x[:, None], np.array([y_pre]))[:, 0]
     mean_y = float(np.trapezoid(density_pre.p * f_vals, density_pre.x))
     var_f = float(np.trapezoid(density_pre.p * (f_vals - mean_y) ** 2, density_pre.x))
-    r = float(law.eta_cov[0, 0])
+    r = float(law.See[0, 0])
     var_y = var_f + r
     nodes, wts = gaussian_quad_points(mean_y, var_y, order)
     f_i = predictive_density(density_pre, scenario, nodes, y_pre)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import functions
 from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS
-from .model import ValidatedScenario, walk_events
+from .model import GaussianMarks, ValidatedScenario, walk_events
 
 __all__ = [
     "LinearModelParams",
@@ -123,7 +123,7 @@ def linear_params_from_scenario(scenario: ValidatedScenario) -> LinearModelParam
     """Extract linear coefficients, or raise IncompatibleMethod.
 
     Requires affine drift, constant diffusion, constant jump loading, affine
-    observation map, and a Gaussian (or xi-degenerate Gaussian-eta) mark law.
+    observation map, and Gaussian marks with xi independent of eta.
     """
     model = scenario.config.model
     if model.m != 1 or model.n != 1:
@@ -145,14 +145,10 @@ def linear_params_from_scenario(scenario: ValidatedScenario) -> LinearModelParam
         raise IncompatibleMethod("exact filter needs an affine observation map")
     a_obs, c_obs, b_obs = obs
     law = scenario.jump_law
-    if law.spec.kind == "gaussian_product":
-        q = float(law.Q[0, 0]) * c_load**2
-        r = float(law.R[0, 0])
-    elif law.spec.kind == "degenerate_xi_zero":
-        q = 0.0
-        r = float(law.R[0, 0])
-    else:
-        raise IncompatibleMethod(f"exact filter does not support mark law {law.spec.kind!r}")
+    if not isinstance(law, GaussianMarks) or law.Sxe.any():
+        raise IncompatibleMethod("exact filter needs Gaussian marks with xi independent of eta")
+    q = float(law.Sxx[0, 0]) * c_load**2
+    r = float(law.See[0, 0])
     return LinearModelParams(
         lam=[[-slope]],
         sigma_x=[[sigma]],

@@ -12,6 +12,13 @@ scheduled times T_i by
 the joint mark law of (xi_i, eta_i), and the event schedule (deterministic
 times or a threshold rule on the observed Y).  Everything is built from
 serializable pieces so scenario files round-trip exactly.
+
+Mark laws come in two families.  `GaussianMarks` is (xi, eta) jointly
+Gaussian with blocks Sxx, Sxe, See, so xi | eta = N(gain eta, cond_cov):
+the "gaussian_joint" kind, with "gaussian_product" (Sxe = 0) and
+"degenerate_xi_zero" (Sxx = Sxe = 0) as special cases.  `DiscreteMarks`
+puts the mark on finitely many atoms, matching an observed eta to the atoms
+within match_tol of it.  `mark_law` builds either from a `JumpLawSpec`.
 """
 
 from __future__ import annotations
@@ -31,13 +38,13 @@ from .errors import (
     ValidationError,
     ZeroConditionalMass,
 )
+from .quad import gaussian_quad_points
 
 __all__ = [
-    "GaussianDistribution",
-    "DiscreteDistribution",
-    "PointMass",
     "JumpLawSpec",
-    "JumpLaw",
+    "GaussianMarks",
+    "DiscreteMarks",
+    "mark_law",
     "Schedule",
     "ModelSpec",
     "FilterSettings",
@@ -56,53 +63,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
-# small distribution objects returned by conditioning / marginalization
-
-
-@dataclass(frozen=True)
-class GaussianDistribution:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        factor = _psd_factor(self.cov)
-        z = rng.standard_normal((size, self.cov.shape[0]))
-        return self.mean + z @ factor.T
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return _gaussian_log_density(np.atleast_2d(x) - self.mean, self.cov)
-
-    def variance(self) -> np.ndarray:
-        return self.cov
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    points: np.ndarray  # (L, d)
-    probs: np.ndarray  # (L,)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.choice(len(self.probs), size=size, p=self.probs)
-        return self.points[idx]
-
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.points
-
-    def variance(self) -> np.ndarray:
-        centered = self.points - self.mean()
-        return (self.probs[:, None] * centered).T @ centered
-
-
-@dataclass(frozen=True)
-class PointMass:
-    point: np.ndarray
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.broadcast_to(self.point, (size, self.point.shape[0])).copy()
-
-
-# ---------------------------------------------------------------------------
-# mark law
+# mark laws
 
 
 @dataclass(frozen=True)
@@ -122,183 +83,141 @@ class JumpLawSpec:
     match_tol: float = 1e-9  # atom matching tolerance for conditioning
 
 
-class JumpLaw:
-    """A mark law bound to model dimensions, with sampling and densities.
+class GaussianMarks:
+    """(xi, eta) jointly Gaussian with mean zero and covariance `cov`, whose
+    blocks are Sxx, Sxe and See.  Given eta, xi is N(gain eta, cond_cov).
 
-    Built by `validate`; exposes the eta marginal (reference observation
-    noise law), the xi marginal (for integrating the jump part of the
-    generator), and exact conditioning of xi on an observed eta.
+    Marks are drawn as z factor^T with z standard normal of width
+    factor.shape[1], so a law may draw fewer normals than it has
+    coordinates.
     """
 
-    def __init__(self, spec: JumpLawSpec, m: int, n: int):
-        self.spec = spec
-        self.m = m
-        self.n = n
-        kind = spec.kind
-        if kind == "gaussian_product":
-            self.Q = _check_psd(np.asarray(spec.q, dtype=float).reshape(m, m), "Q")
-            self.R = _check_psd(np.asarray(spec.r, dtype=float).reshape(n, n), "R")
-            self._q_factor = _psd_factor(self.Q)
-            self._r_factor = _psd_factor(self.R)
-        elif kind == "gaussian_joint":
-            d = m + n
-            self.cov = _check_psd(np.asarray(spec.cov, dtype=float).reshape(d, d), "joint cov")
-            self.Sxx = self.cov[:m, :m]
-            self.Sxe = self.cov[:m, m:]
-            self.See = self.cov[m:, m:]
-            if np.linalg.matrix_rank(self.See) < n:
-                raise NonPSDCovariance("gaussian_joint eta block must be nonsingular")
-            self._gain = np.linalg.solve(self.See, self.Sxe.T).T  # Sxe See^-1
-            self._cond_cov = _check_psd(
-                _symmetrize(self.Sxx - self._gain @ self.Sxe.T), "conditional cov"
-            )
-            self._joint_factor = _psd_factor(self.cov)
-        elif kind == "discrete":
-            pts = np.asarray(spec.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != m + n:
-                raise ValidationError(f"discrete law atoms must have {m + n} columns")
-            probs = np.asarray(spec.probs, dtype=float)
-            if probs.shape != (pts.shape[0],) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-                raise ValidationError("discrete law probabilities must be nonnegative and sum to 1")
-            self.points = pts
-            self.probs = probs
-        elif kind == "degenerate_xi_zero":
-            self.R = _check_psd(np.asarray(spec.r, dtype=float).reshape(n, n), "R")
-            self._r_factor = _psd_factor(self.R)
-        else:
-            raise ValidationError(f"unknown jump law kind: {kind!r}")
+    eta_has_density = True
 
-    # -- sampling ---------------------------------------------------------
+    def __init__(self, cov: np.ndarray, factor: np.ndarray, m: int):
+        self.m, self._factor = m, factor
+        self.Sxx, self.Sxe, self.See = cov[:m, :m], cov[:m, m:], cov[m:, m:]
+        self._xi_factor = _psd_factor(self.Sxx)
+        self.gain, self.cond_cov, self._cond_factor = np.zeros(self.Sxe.shape), self.Sxx, self._xi_factor
+        if self.Sxe.any():
+            if np.linalg.matrix_rank(self.See) < self.See.shape[0]:
+                raise NonPSDCovariance("a correlated Gaussian mark law needs a nonsingular eta block")
+            self.gain = np.linalg.solve(self.See, self.Sxe.T).T
+            self.cond_cov = _check_psd(_symmetrize(self.Sxx - self.gain @ self.Sxe.T), "conditional cov")
+            self._cond_factor = _psd_factor(self.cond_cov)
+        self.xi_is_zero = not self.Sxx.any()
 
     def sample_marks(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (xi (size, m), eta (size, n)) jointly."""
-        kind = self.spec.kind
-        if kind == "gaussian_product":
-            xi = rng.standard_normal((size, self.m)) @ self._q_factor.T
-            eta = rng.standard_normal((size, self.n)) @ self._r_factor.T
-            return xi, eta
-        if kind == "gaussian_joint":
-            z = rng.standard_normal((size, self.m + self.n)) @ self._joint_factor.T
-            return z[:, : self.m], z[:, self.m :]
-        if kind == "discrete":
-            idx = rng.choice(len(self.probs), size=size, p=self.probs)
-            z = self.points[idx]
-            return z[:, : self.m], z[:, self.m :]
-        if kind == "degenerate_xi_zero":
-            eta = rng.standard_normal((size, self.n)) @ self._r_factor.T
-            return np.zeros((size, self.m)), eta
-        raise AssertionError(kind)
+        z = rng.standard_normal((size, self._factor.shape[1])) @ self._factor.T
+        return z[:, : self.m], z[:, self.m :]
 
-    # -- eta marginal -----------------------------------------------------
-
-    @property
-    def eta_has_density(self) -> bool:
-        if self.spec.kind == "discrete":
-            return False
-        return True
-
-    @property
-    def eta_cov(self) -> np.ndarray:
-        kind = self.spec.kind
-        if kind in {"gaussian_product", "degenerate_xi_zero"}:
-            return self.R
-        if kind == "gaussian_joint":
-            return self.See
-        if kind == "discrete":
-            eta = self.points[:, self.m :]
-            mean = self.probs @ eta
-            centered = eta - mean
-            return (self.probs[:, None] * centered).T @ centered
-        raise AssertionError(kind)
-
-    def eta_log_density(self, e: np.ndarray) -> np.ndarray:
-        """Log density (or log mass within match_tol, for discrete laws) of eta."""
-        e2 = np.atleast_2d(np.asarray(e, dtype=float))
-        kind = self.spec.kind
-        if kind in {"gaussian_product", "degenerate_xi_zero"}:
-            return _gaussian_log_density(e2, self.R)
-        if kind == "gaussian_joint":
-            return _gaussian_log_density(e2, self.See)
-        if kind == "discrete":
-            mass = self._eta_match_mass(e2)
-            with np.errstate(divide="ignore"):
-                return np.log(mass)
-        raise AssertionError(kind)
-
-    def _eta_match_mass(self, e2: np.ndarray) -> np.ndarray:
-        eta_atoms = self.points[:, self.m :]
-        dist = np.max(np.abs(e2[:, None, :] - eta_atoms[None, :, :]), axis=2)
-        return (dist <= self.spec.match_tol) @ self.probs
-
-    # -- xi marginal ------------------------------------------------------
-
-    def xi_marginal(self):
-        kind = self.spec.kind
-        if kind == "gaussian_product":
-            return GaussianDistribution(np.zeros(self.m), self.Q)
-        if kind == "gaussian_joint":
-            return GaussianDistribution(np.zeros(self.m), self.Sxx)
-        if kind == "discrete":
-            return DiscreteDistribution(self.points[:, : self.m], self.probs)
-        if kind == "degenerate_xi_zero":
-            return PointMass(np.zeros(self.m))
-        raise AssertionError(kind)
-
-    def xi_is_zero(self) -> bool:
-        return self.spec.kind == "degenerate_xi_zero"
-
-    # -- conditioning -----------------------------------------------------
-
-    def conditional_xi(self, eta0: np.ndarray):
-        """Law of xi given eta = eta0 (exact for every supported kind)."""
-        eta0 = np.atleast_1d(np.asarray(eta0, dtype=float)).reshape(self.n)
-        kind = self.spec.kind
-        if kind == "gaussian_product":
-            return GaussianDistribution(np.zeros(self.m), self.Q)
-        if kind == "gaussian_joint":
-            return GaussianDistribution(self._gain @ eta0, self._cond_cov)
-        if kind == "discrete":
-            mask = np.max(np.abs(self.points[:, self.m :] - eta0), axis=1) <= self.spec.match_tol
-            mass = self.probs[mask].sum()
-            if mass <= 0.0:
-                raise ZeroConditionalMass(f"no atoms with eta within {self.spec.match_tol} of {eta0}")
-            return DiscreteDistribution(self.points[mask, : self.m], self.probs[mask] / mass)
-        if kind == "degenerate_xi_zero":
-            return PointMass(np.zeros(self.m))
-        raise AssertionError(kind)
+    def sample_xi_marginal(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.standard_normal((size, self.m)) @ self._xi_factor.T
 
     def sample_xi_given_eta(self, rng: np.random.Generator, eta_hat: np.ndarray) -> np.ndarray:
-        """Vectorized conditional draw: one xi per row of eta_hat (N, n)."""
+        """One xi per row of eta_hat (N, n)."""
         eta_hat = np.atleast_2d(np.asarray(eta_hat, dtype=float))
-        size = eta_hat.shape[0]
-        kind = self.spec.kind
-        if kind == "degenerate_xi_zero":
-            return np.zeros((size, self.m))
-        if kind == "gaussian_product":
-            return rng.standard_normal((size, self.m)) @ self._q_factor.T
-        if kind == "gaussian_joint":
-            factor = _psd_factor(self._cond_cov)
-            return eta_hat @ self._gain.T + rng.standard_normal((size, self.m)) @ factor.T
-        if kind == "discrete":
-            eta_atoms = self.points[:, self.m :]
-            match = (
-                np.max(np.abs(eta_hat[:, None, :] - eta_atoms[None, :, :]), axis=2)
-                <= self.spec.match_tol
-            )
-            weights = match * self.probs
-            mass = weights.sum(axis=1)
-            out = np.zeros((size, self.m))
-            ok = mass > 0
-            if np.any(ok):
-                w = weights[ok] / mass[ok, None]
-                cum = np.cumsum(w, axis=1)
-                u = rng.random(ok.sum())
-                idx = (u[:, None] > cum[:, :-1]).sum(axis=1) if w.shape[1] > 1 else np.zeros(ok.sum(), int)
-                out[ok] = self.points[idx, : self.m]
-            # rows with no matching atom carry zero likelihood upstream;
-            # xi = 0 placeholder keeps the array finite
-            return out
-        raise AssertionError(kind)
+        return eta_hat @ self.gain.T + rng.standard_normal((eta_hat.shape[0], self.m)) @ self._cond_factor.T
+
+    def eta_log_density(self, e: np.ndarray) -> np.ndarray:
+        return _gaussian_log_density(np.atleast_2d(np.asarray(e, dtype=float)), self.See)
+
+    def xi_quadrature(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes (K, m) and weights (K,) for expectations over the xi marginal:
+        the Gauss-Hermite rule of `order` points a coordinate, tensorized
+        through a factor of Sxx; a zero xi gives one node at 0."""
+        if self.xi_is_zero:
+            return np.zeros((1, self.m)), np.ones(1)
+        pts, wts = gaussian_quad_points(0.0, 1.0, order)
+
+        def tensor(v):  # (K, m): every combination of one entry of v per coordinate
+            return np.stack([g.ravel() for g in np.meshgrid(*([v] * self.m), indexing="ij")], axis=1)
+
+        return tensor(pts) @ self._xi_factor.T, np.prod(tensor(wts), axis=1)
+
+
+class DiscreteMarks:
+    """(xi, eta) on finitely many atoms.  An observed eta matches the atoms
+    whose eta lies within match_tol of it in the max norm; eta has a mass
+    there, not a density."""
+
+    eta_has_density = False
+
+    def __init__(self, points: np.ndarray, probs: np.ndarray, match_tol: float, m: int):
+        self.m = m
+        self.points, self.probs, self.match_tol = points, probs, match_tol
+        self.xi_is_zero = not points[:, :m].any()
+
+    def _match_weights(self, eta: np.ndarray) -> np.ndarray:
+        """(N, L): each atom's probability where it matches the row of eta (N, n), else 0."""
+        eta = np.atleast_2d(np.asarray(eta, dtype=float))
+        dist = np.max(np.abs(eta[:, None, :] - self.points[None, :, self.m :]), axis=2)
+        return (dist <= self.match_tol) * self.probs
+
+    def sample_marks(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        z = self.points[rng.choice(len(self.probs), size=size, p=self.probs)]
+        return z[:, : self.m], z[:, self.m :]
+
+    def sample_xi_marginal(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.points[rng.choice(len(self.probs), size=size, p=self.probs), : self.m]
+
+    def conditional_probs(self, eta: np.ndarray) -> np.ndarray:
+        """(N, L) law of the atom given each row of eta (N, n)."""
+        weights = self._match_weights(eta)
+        mass = weights.sum(axis=1)
+        if np.any(mass <= 0.0):
+            raise ZeroConditionalMass(f"no atom's eta within {self.match_tol} of some observed eta")
+        return weights / mass[:, None]
+
+    def sample_xi_given_eta(self, rng: np.random.Generator, eta_hat: np.ndarray) -> np.ndarray:
+        """One xi per row of eta_hat (N, n); a row that matches no atom gets
+        xi = 0, which keeps the array finite: it carries zero likelihood."""
+        weights = self._match_weights(eta_hat)
+        mass = weights.sum(axis=1)
+        out = np.zeros((weights.shape[0], self.m))
+        ok = mass > 0
+        if np.any(ok):
+            cum = np.cumsum(weights[ok] / mass[ok, None], axis=1)
+            u = rng.random(ok.sum())
+            out[ok] = self.points[(u[:, None] > cum[:, :-1]).sum(axis=1), : self.m]
+        return out
+
+    def eta_log_density(self, e: np.ndarray) -> np.ndarray:
+        """Log mass of the atoms that e's rows match."""
+        with np.errstate(divide="ignore"):
+            return np.log(self._match_weights(e).sum(axis=1))
+
+    def xi_quadrature(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The xi atoms and their probabilities; `order` is unused."""
+        return self.points[:, : self.m], self.probs
+
+
+def mark_law(spec: JumpLawSpec, m: int, n: int) -> GaussianMarks | DiscreteMarks:
+    """Bind a mark-law spec to the model dimensions, checking it."""
+    kind = spec.kind
+    if kind == "discrete":
+        pts = np.asarray(spec.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != m + n:
+            raise ValidationError(f"discrete law atoms must have {m + n} columns")
+        probs = np.asarray(spec.probs, dtype=float)
+        if probs.shape != (pts.shape[0],) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+            raise ValidationError("discrete law probabilities must be nonnegative and sum to 1")
+        return DiscreteMarks(pts, probs, spec.match_tol, m)
+    if kind == "gaussian_joint":
+        cov = _check_psd(np.asarray(spec.cov, dtype=float).reshape(m + n, m + n), "joint cov")
+        return GaussianMarks(cov, _psd_factor(cov), m)
+    if kind not in ("gaussian_product", "degenerate_xi_zero"):
+        raise ValidationError(f"unknown jump law kind: {kind!r}")
+    Q = np.zeros((m, m))
+    if kind == "gaussian_product":
+        Q = _check_psd(np.asarray(spec.q, dtype=float).reshape(m, m), "Q")
+    R = _check_psd(np.asarray(spec.r, dtype=float).reshape(n, n), "R")
+    cov = np.block([[Q, np.zeros((m, n))], [np.zeros((n, m)), R]])
+    factor = np.block([[_psd_factor(Q), np.zeros((m, n))], [np.zeros((n, m)), _psd_factor(R)]])
+    if kind == "degenerate_xi_zero":
+        factor = factor[:, m:]  # no normals are drawn for xi
+    return GaussianMarks(cov, factor, m)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +305,7 @@ class ValidatedScenario:
     diffusion: Callable[[np.ndarray], np.ndarray]
     jump_coeff: Callable[[np.ndarray], np.ndarray]
     obs_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jump_law: JumpLaw
+    jump_law: GaussianMarks | DiscreteMarks
 
     @property
     def schedule(self) -> Schedule:
@@ -452,7 +371,7 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
     _validate_schedule(config.schedule, config.horizon)
     _validate_filter_settings(config.filters)
 
-    law = JumpLaw(model.jump_law, m, n)
+    law = mark_law(model.jump_law, m, n)
 
     probe = _probe_states(x0, m)
     for role, desc in [

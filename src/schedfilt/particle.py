@@ -29,6 +29,7 @@ from .errors import (
     IncompatibleMethod,
     NonpositiveR,
     NumericalBlowup,
+    ValidationError,
     WeightCollapse,
     ZeroMass,
     ZeroReferenceDensity,
@@ -113,9 +114,9 @@ def init_ensemble(
 ) -> ParticleEnsemble:
     """All particles at the known initial state, equal weights."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+        raise ValidationError(f"mode must be one of {MODES}")
     if n_particles < 2:
-        raise ValueError("need at least two particles")
+        raise ValidationError("need at least two particles")
     if rng is None:
         base = scenario.seed if seed is None else seed
         mode_code = MODES.index(mode)
@@ -169,7 +170,7 @@ def propagate(ensemble: ParticleEnsemble, scenario: ValidatedScenario, t_end: fl
 
 def _apply_jumps(ensemble: ParticleEnsemble, scenario: ValidatedScenario, eta_hat: np.ndarray) -> None:
     law = scenario.jump_law
-    if law.xi_is_zero():
+    if law.xi_is_zero:
         return
     xi = law.sample_xi_given_eta(ensemble.rng, eta_hat)  # (N, m)
     cmat = scenario.jump_coeff(ensemble.x)  # (N, m, m)
@@ -373,7 +374,7 @@ def run_particle_filter(
     Rows follow the layout of `model.walk_events`.
     """
     if method not in ("ks", "zakai"):
-        raise ValueError("method must be 'ks' or 'zakai'")
+        raise ValidationError("method must be 'ks' or 'zakai'")
     settings = scenario.filters
     if n_particles is None:
         n_particles = settings.n_particles
@@ -384,7 +385,7 @@ def run_particle_filter(
     if antithetic:
         ens.rng = _AntitheticGenerator(ens.rng)
         if n_particles % 2:
-            raise ValueError("antithetic propagation needs an even particle count")
+            raise ValidationError("antithetic propagation needs an even particle count")
 
     if reporting_times is None:
         reporting_times = scenario.reporting_times

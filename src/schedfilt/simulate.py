@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedScenario,
     ValidationError,
 )
-from .model import ValidatedScenario
+from .model import DiscreteMarks, ValidatedScenario
 
 __all__ = [
     "ObservationEvent",
@@ -262,7 +262,7 @@ def run_ensemble(
         raise UnsupportedScenario("run_ensemble supports deterministic schedules only")
     if antithetic and n_paths % 2:
         raise ValidationError("antithetic ensembles need an even number of paths")
-    if antithetic and scenario.jump_law.spec.kind == "discrete":
+    if antithetic and isinstance(scenario.jump_law, DiscreteMarks):
         raise UnsupportedScenario("antithetic pairing is undefined for discrete mark laws")
 
     if antithetic:

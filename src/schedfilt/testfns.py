@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DiscreteDistribution, GaussianDistribution, PointMass, ValidatedScenario
-from .quad import gaussian_quad_points
+from .model import ValidatedScenario
 
 __all__ = [
     "TestFunction",
@@ -182,63 +181,17 @@ def diffusion_generator(phi: TestFunction, scenario: ValidatedScenario) -> Calla
 def jump_generator(
     phi: TestFunction, scenario: ValidatedScenario, order: int | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Return x -> A phi(x), integrating xi over the mark law's xi-marginal.
+    """Return x -> A phi(x), integrating xi over the mark law's xi-marginal
+    with `xi_quadrature`: Gauss-Hermite for Gaussian marks, the atoms for
+    discrete ones, and one node at 0 when xi is zero, so A phi = 0."""
+    nodes, weights = scenario.jump_law.xi_quadrature(order or scenario.filters.quad_order_jump)
 
-    Gaussian marginals use Gauss-Hermite quadrature (tensorized through an
-    eigenfactor for m > 1), discrete marginals sum atoms exactly, and the
-    degenerate law gives A phi = 0 identically.
-    """
-    law = scenario.jump_law
-    marginal = law.xi_marginal()
-    order = order or scenario.filters.quad_order_jump
-
-    if isinstance(marginal, PointMass):
-        def zero(x: np.ndarray) -> np.ndarray:
-            x2 = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.zeros(x2.shape[0])
-
-        return zero
-
-    if isinstance(marginal, DiscreteDistribution):
-        atoms, probs = marginal.points, marginal.probs
-
-        def aphi_discrete(x: np.ndarray) -> np.ndarray:
-            x2 = np.atleast_2d(np.asarray(x, dtype=float))
-            c = scenario.jump_coeff(x2)
-            base = phi.value(x2)
-            out = -base.copy()
-            for atom, p in zip(atoms, probs):
-                shifted = x2 + c @ atom
-                out += p * phi.value(shifted)
-            return out
-
-        return aphi_discrete
-
-    assert isinstance(marginal, GaussianDistribution)
-    # xi = F u with u ~ N(0, I_m); tensorize the 1-d rule over u.
-    factor = _psd_factor(marginal.cov)
-    m = scenario.m
-    pts_1d, wts_1d = gaussian_quad_points(0.0, 1.0, order)
-    grids = np.meshgrid(*([pts_1d] * m), indexing="ij")
-    u_nodes = np.stack([g.ravel() for g in grids], axis=1)  # (order^m, m)
-    w_grids = np.meshgrid(*([wts_1d] * m), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in w_grids], axis=1), axis=1)
-    xi_nodes = u_nodes @ factor.T
-
-    def aphi_gaussian(x: np.ndarray) -> np.ndarray:
+    def aphi(x: np.ndarray) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         c = scenario.jump_coeff(x2)  # (N, m, m)
-        base = phi.value(x2)
-        out = -base.copy()
-        for xi, wq in zip(xi_nodes, weights):
-            shifted = x2 + c @ xi
-            out += wq * phi.value(shifted)
+        out = -phi.value(x2)
+        for xi, wq in zip(nodes, weights):
+            out += wq * phi.value(x2 + c @ xi)
         return out
 
-    return aphi_gaussian
-
-
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    return aphi

@@ -139,6 +139,31 @@ def test_incompatible_method_exits_3(tmp_path, run_cli):
     assert "incompatible" in proc.stderr.lower()
 
 
+def test_negative_control_without_signal_jumps_exits_3(tmp_path, run_cli):
+    # njode_style has xi = 0, so the KS-residual negative control has no
+    # expected-jump term to drop
+    proc = run_cli(
+        [
+            "diagnose", "njode_style", "--negative-control", "--checks", "ks-residual",
+            "--runs", "1", "--out", str(tmp_path / "x"),
+        ],
+        tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "signal jumps" in proc.stderr
+
+
+def test_single_particle_exits_2(tmp_path, run_cli):
+    proc = run_cli(
+        ["filter", "ou_kalman", "--method", "ks-particle", "--particles", "1", "--out", str(tmp_path / "x")],
+        tmp_path,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "two particles" in proc.stderr
+
+
 def _off_lattice_config(tmp: Path) -> Path:
     """ou_kalman with an event time the grid's dt lattice cannot hit."""
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())

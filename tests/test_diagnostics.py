@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from schedfilt import diagnostics, model
+from schedfilt.errors import UnsupportedScenario
 
 
 def test_compensator_passes_and_rejects(ou_scenario):
@@ -52,7 +53,7 @@ def test_ks_residual_control_needs_jumps(ou_scenario):
     scn = model.validate(
         dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, jump_law=law))
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedScenario):
         diagnostics.check_ks_residual(scn, n_runs=2, negative_control=True)
 
 

@@ -81,17 +81,16 @@ def test_gaussian_product_moments(rng):
 def test_joint_conditional_closed_form():
     # cov [[1, .5], [.5, 1]], eta0 = 1: xi | eta ~ N(0.5, 0.75)
     spec = model.JumpLawSpec(kind="gaussian_joint", cov=((1.0, 0.5), (0.5, 1.0)))
-    law = model.JumpLaw(spec, m=1, n=1)
-    cond = law.conditional_xi(np.array([1.0]))
-    assert float(cond.mean[0]) == pytest.approx(0.5, abs=1e-12)
-    assert float(cond.cov[0, 0]) == pytest.approx(0.75, abs=1e-12)
+    law = model.mark_law(spec, m=1, n=1)
+    assert float(law.gain[0, 0] * 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert float(law.cond_cov[0, 0]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_joint_conditional_matches_rejection_oracle(rng):
     # brute-force check: keep joint samples with eta within a narrow band
     # around eta0 and compare the surviving xi law to the analytic one
     spec = model.JumpLawSpec(kind="gaussian_joint", cov=((1.0, 0.5), (0.5, 1.0)))
-    law = model.JumpLaw(spec, m=1, n=1)
+    law = model.mark_law(spec, m=1, n=1)
     xi, eta = law.sample_marks(rng, 2_000_000)
     band = np.abs(eta[:, 0] - 1.0) < 0.01
     kept = xi[band, 0]
@@ -103,7 +102,7 @@ def test_joint_conditional_matches_rejection_oracle(rng):
 
 def test_joint_sample_given_eta_distribution(rng):
     spec = model.JumpLawSpec(kind="gaussian_joint", cov=((1.0, 0.5), (0.5, 1.0)))
-    law = model.JumpLaw(spec, m=1, n=1)
+    law = model.mark_law(spec, m=1, n=1)
     eta_hat = np.full((100_000, 1), 1.0)
     draws = law.sample_xi_given_eta(rng, eta_hat)[:, 0]
     assert float(np.mean(draws)) == pytest.approx(0.5, abs=4 * np.sqrt(0.75 / draws.size))
@@ -113,7 +112,7 @@ def test_joint_sample_given_eta_distribution(rng):
 def test_marginal_xi_ks_distance(rng):
     # marginalizing the conditional draw over eta must recover the xi marginal
     spec = model.JumpLawSpec(kind="gaussian_joint", cov=((0.6, 0.3), (0.3, 0.8)))
-    law = model.JumpLaw(spec, m=1, n=1)
+    law = model.mark_law(spec, m=1, n=1)
     _, eta = law.sample_marks(rng, 40_000)
     via_cond = law.sample_xi_given_eta(rng, eta)[:, 0]
     direct, _ = law.sample_marks(rng, 40_000)
@@ -129,17 +128,17 @@ def test_discrete_conditioning_matches_enumeration():
     pts = ((1.0, 0.5), (-1.0, 0.5), (0.0, -0.5))
     probs = (0.2, 0.3, 0.5)
     spec = model.JumpLawSpec(kind="discrete", points=pts, probs=probs)
-    law = model.JumpLaw(spec, m=1, n=1)
-    cond = law.conditional_xi(np.array([0.5]))
+    law = model.mark_law(spec, m=1, n=1)
+    cond = law.conditional_probs(np.array([[0.5]]))
     # atoms 0 and 1 match eta = 0.5; renormalized to (0.4, 0.6)
-    np.testing.assert_allclose(np.sort(cond.probs), [0.4, 0.6])
+    np.testing.assert_allclose(cond, [[0.4, 0.6, 0.0]])
     with pytest.raises(ZeroConditionalMass):
-        law.conditional_xi(np.array([2.0]))
+        law.conditional_probs(np.array([[2.0]]))
 
 
 def test_discrete_eta_is_log_mass_not_density():
     spec = model.JumpLawSpec(kind="discrete", points=((0.0, 0.1),), probs=(1.0,))
-    law = model.JumpLaw(spec, m=1, n=1)
+    law = model.mark_law(spec, m=1, n=1)
     assert not law.eta_has_density
     vals = law.eta_log_density(np.array([[0.1], [0.7]]))
     assert vals[0] == pytest.approx(0.0, abs=1e-12)  # log mass of the only atom
@@ -148,8 +147,8 @@ def test_discrete_eta_is_log_mass_not_density():
 
 def test_degenerate_law_xi_is_zero(rng):
     spec = model.JumpLawSpec(kind="degenerate_xi_zero", r=((0.01,),))
-    law = model.JumpLaw(spec, m=1, n=1)
-    assert law.xi_is_zero()
+    law = model.mark_law(spec, m=1, n=1)
+    assert law.xi_is_zero
     xi, eta = law.sample_marks(rng, 1000)
     assert np.all(xi == 0.0)
     assert float(np.var(eta)) == pytest.approx(0.01, rel=0.2)

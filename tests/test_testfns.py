@@ -81,7 +81,7 @@ def test_jump_generator_quadrature_vs_monte_carlo(ou_scenario, rng):
 
 def test_jump_generator_zero_when_xi_degenerate():
     scn = build_preset("njode_style")
-    assert scn.jump_law.xi_is_zero()
+    assert scn.jump_law.xi_is_zero
     phi = testfns.battery_function("bump", 1)
     aphi = testfns.jump_generator(phi, scn, order=20)
     x = np.linspace(-1.0, 1.0, 5)[:, None]
