@@ -416,6 +416,14 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _count(text: str) -> int:
+    """A count of at least one; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedfilt",
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw paths and dump them as CSV")
     common(p_sim)
-    p_sim.add_argument("--paths", type=int, default=10, help="number of independent paths")
+    p_sim.add_argument("--paths", type=_count, default=10, help="number of independent paths")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fil = sub.add_parser("filter", help="run filters along one event sequence")
@@ -449,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="run consistency checks")
     common(p_diag)
     p_diag.add_argument("--checks", default=None, help=f"comma list from: {', '.join(sorted(CHECKS))}")
-    p_diag.add_argument("--paths", type=int, default=None, help="Monte Carlo paths for path-based checks")
-    p_diag.add_argument("--runs", type=int, default=None, help="independent runs for per-run checks")
+    p_diag.add_argument("--paths", type=_count, default=None, help="Monte Carlo paths for path-based checks")
+    p_diag.add_argument("--runs", type=_count, default=None, help="independent runs for per-run checks")
     p_diag.add_argument("--particles", type=int, default=None, help="particle count for particle checks")
     p_diag.add_argument("--negative-control", action="store_true",
                         help="deliberately break each check; it must then fail")

@@ -46,7 +46,6 @@ __all__ = [
     "compile_matrix_fn",
     "compile_diffusion_apply",
     "compile_obs_fn",
-    "descriptor_is_affine",
     "affine_coefficients",
     "obs_affine_coefficients",
     "validate_descriptor",
@@ -180,22 +179,11 @@ def compile_obs_fn(desc: Descriptor, m: int, n: int) -> Callable[[np.ndarray, np
     raise UnknownFunctionDescriptor(f"unknown observation descriptor kind: {kind!r}")
 
 
-def descriptor_is_affine(desc: Descriptor) -> bool:
-    """True if a scalar/vector descriptor is an affine function of the state."""
-    kind = desc.get("kind")
-    if kind in {"const", "identity", "affine", "constant_vector", "linear_matrix", "affine_matrix"}:
-        return True
-    if kind == "poly":
-        return len(desc["coeffs"]) <= 2
-    if kind == "scale":
-        return descriptor_is_affine(desc["child"])
-    if kind == "sum":
-        return all(descriptor_is_affine(c) for c in desc["children"])
-    return False
-
-
 def affine_coefficients(desc: Descriptor) -> tuple[float, float]:
-    """(slope, intercept) of an affine scalar descriptor."""
+    """(slope, intercept) of an affine scalar descriptor.
+
+    Raises UnknownFunctionDescriptor for any descriptor that is not affine.
+    """
     kind = desc.get("kind")
     if kind == "const":
         return 0.0, float(desc["value"])
@@ -206,10 +194,10 @@ def affine_coefficients(desc: Descriptor) -> tuple[float, float]:
     if kind == "poly" and len(desc["coeffs"]) <= 2:
         coeffs = list(desc["coeffs"]) + [0.0, 0.0]
         return float(coeffs[1]), float(coeffs[0])
-    if kind == "scale" and descriptor_is_affine(desc["child"]):
+    if kind == "scale":
         s, i = affine_coefficients(desc["child"])
         return float(desc["factor"]) * s, float(desc["factor"]) * i
-    if kind == "sum" and descriptor_is_affine(desc):
+    if kind == "sum":
         slope = intercept = 0.0
         for child in desc["children"]:
             s, i = affine_coefficients(child)
@@ -219,22 +207,22 @@ def affine_coefficients(desc: Descriptor) -> tuple[float, float]:
     raise UnknownFunctionDescriptor(f"descriptor is not affine: {desc.get('kind')!r}")
 
 
-def obs_affine_coefficients(desc: Descriptor) -> tuple[float, float, float] | None:
-    """(a, c, intercept) with f(x, y) = a x - c y + intercept, or None.
+def obs_affine_coefficients(desc: Descriptor) -> tuple[float, float, float]:
+    """(a, c, intercept) with f(x, y) = a x - c y + intercept.
 
-    Scalar observation maps only; used to detect linear-Gaussian scenarios.
+    Scalar observation maps only; raises UnknownFunctionDescriptor for any
+    other map.  Used to detect linear-Gaussian scenarios.
     """
     kind = desc.get("kind")
     if kind == "affine_xy":
         a = np.atleast_2d(np.asarray(desc["a"], dtype=float))
         c = np.atleast_2d(np.asarray(desc["c"], dtype=float))
-        if a.shape != (1, 1) or c.shape != (1, 1):
-            return None
-        return float(a[0, 0]), float(c[0, 0]), float(np.asarray(desc.get("intercept", 0.0)).reshape(-1)[0])
-    if kind == "state_expr_minus_y" and descriptor_is_affine(desc["expr"]):
+        if a.shape == (1, 1) and c.shape == (1, 1):
+            return float(a[0, 0]), float(c[0, 0]), float(np.asarray(desc.get("intercept", 0.0)).reshape(-1)[0])
+    if kind == "state_expr_minus_y":
         slope, intercept = affine_coefficients(desc["expr"])
         return slope, float(desc.get("c", 0.0)), intercept
-    return None
+    raise UnknownFunctionDescriptor(f"observation map is not scalar affine: {kind!r}")
 
 
 def validate_descriptor(desc: Descriptor, role: str, m: int, n: int, probe: np.ndarray) -> None:

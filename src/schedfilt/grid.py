@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rngs
-from .errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
+from .errors import BoundaryLeak, UnsupportedScenario, ValidationError, ZeroLikelihoodMass
 from .model import GaussianMarks, ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
@@ -169,11 +169,13 @@ def make_grid(scenario: ValidatedScenario, n_nodes: int | None = None, domain: t
     _require_scalar(scenario)
     if n_nodes is None:
         n_nodes = scenario.filters.grid_nodes
+    if n_nodes < 16:
+        raise ValidationError(f"a grid needs at least 16 nodes, got {n_nodes}")
     if domain is None:
         domain = estimate_domain(scenario)
     lo, hi = domain
     if not hi > lo:
-        raise ValueError(f"empty domain ({lo}, {hi})")
+        raise ValidationError(f"empty domain ({lo}, {hi})")
     return np.linspace(lo, hi, n_nodes)
 
 

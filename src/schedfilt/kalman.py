@@ -15,6 +15,10 @@ signal-jump covariance Q.  Two orderings are provided:
     jump_then_observe: gain built from P- + Q.  Kept for comparison runs.
 
 Matrix-valued states propagate by RK4 on the coupled mean/covariance ODE.
+The covariance recursion does not read the data, so a belief may carry
+one mean (m,) or a block of means (P, m) for P paths under one shared
+covariance: `propagate` and `jump_update` serve one path in `run_filter`
+and a block in `filter_events_vectorized`, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions
-from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS
+from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS, UnknownFunctionDescriptor
 from .model import GaussianMarks, ValidatedScenario, walk_events
 
 __all__ = [
@@ -62,12 +66,8 @@ class LinearModelParams:
     obs_intercept: np.ndarray = None  # (n,)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", np.atleast_2d(np.asarray(self.lam, dtype=float)))
-        object.__setattr__(self, "sigma_x", np.atleast_2d(np.asarray(self.sigma_x, dtype=float)))
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "C", np.atleast_2d(np.asarray(self.C, dtype=float)))
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
-        object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
+        for name in ("lam", "sigma_x", "A", "C", "Q", "R"):
+            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         m = self.lam.shape[0]
         n = self.A.shape[0]
         dc = np.zeros(m) if self.drift_const is None else np.asarray(self.drift_const, dtype=float).reshape(m)
@@ -91,18 +91,18 @@ class LinearModelParams:
 @dataclass(frozen=True)
 class GaussianBelief:
     time: float
-    mean: np.ndarray  # (m,)
-    cov: np.ndarray  # (m, m)
+    mean: np.ndarray  # (m,), or (P, m) for P paths
+    cov: np.ndarray  # (m, m), shared by all paths
 
 
 @dataclass(frozen=True)
 class EventUpdate:
     index: int
     time: float
-    innovation: np.ndarray  # (n,)
+    innovation: np.ndarray  # (n,), or (P, n)
     innovation_cov: np.ndarray  # (n, n), from the ordering's gain stage
     gain: np.ndarray  # (m, n)
-    pred_mean: np.ndarray  # (n,): A m- - C y- + b, pre-jump predictive mean of dY
+    pred_mean: np.ndarray  # (n,) or (P, n): A m- - C y- + b, pre-jump predictive mean of dY
     pred_cov: np.ndarray  # (n, n): A P- A^T + R, pre-jump predictive cov of dY
     mean_pre: np.ndarray
     cov_pre: np.ndarray
@@ -130,20 +130,13 @@ def linear_params_from_scenario(scenario: ValidatedScenario) -> LinearModelParam
         raise IncompatibleMethod("exact filter: only scalar scenarios are derived from descriptors")
     try:
         slope, intercept = functions.affine_coefficients(model.drift)
-    except Exception as exc:
-        raise IncompatibleMethod(f"exact filter needs affine drift: {exc}") from exc
-    for name, desc in [("diffusion", model.diffusion), ("jump_coeff", model.jump_coeff)]:
-        if not functions.descriptor_is_affine(desc):
-            raise IncompatibleMethod(f"exact filter needs constant {name}")
-        s, _ = functions.affine_coefficients(desc)
-        if s != 0.0:
-            raise IncompatibleMethod(f"exact filter needs state-free {name}")
-    _, sigma = functions.affine_coefficients(model.diffusion)
-    _, c_load = functions.affine_coefficients(model.jump_coeff)
-    obs = functions.obs_affine_coefficients(model.obs_fn)
-    if obs is None:
-        raise IncompatibleMethod("exact filter needs an affine observation map")
-    a_obs, c_obs, b_obs = obs
+        diffusion_slope, sigma = functions.affine_coefficients(model.diffusion)
+        jump_slope, c_load = functions.affine_coefficients(model.jump_coeff)
+        a_obs, c_obs, b_obs = functions.obs_affine_coefficients(model.obs_fn)
+    except UnknownFunctionDescriptor as exc:
+        raise IncompatibleMethod(f"exact filter needs affine coefficients: {exc}") from exc
+    if diffusion_slope != 0.0 or jump_slope != 0.0:
+        raise IncompatibleMethod("exact filter needs state-free diffusion and jump loading")
     law = scenario.jump_law
     if not isinstance(law, GaussianMarks) or law.Sxe.any():
         raise IncompatibleMethod("exact filter needs Gaussian marks with xi independent of eta")
@@ -162,7 +155,10 @@ def linear_params_from_scenario(scenario: ValidatedScenario) -> LinearModelParam
 
 
 def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float, dt_sub: float = 1e-3) -> GaussianBelief:
-    """Event-free moment flow over delta_t (closed form when scalar)."""
+    """Event-free moment flow over delta_t (closed form when scalar).
+
+    The mean may be one path (m,) or a block (P, m); the covariance is shared.
+    """
     if delta_t < 0:
         raise NegativeDt(f"propagation interval must be nonnegative, got {delta_t}")
     if delta_t == 0.0:
@@ -171,7 +167,7 @@ def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float,
         lam = float(params.lam[0, 0])
         sig2 = float(params.sigma_x[0, 0]) ** 2
         u = float(params.drift_const[0])
-        m0 = float(belief.mean[0])
+        m0 = belief.mean
         p0 = float(belief.cov[0, 0])
         if abs(lam) < 1e-14:
             mean = m0 + u * delta_t
@@ -181,9 +177,10 @@ def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float,
             stat_var = sig2 / (2.0 * lam)
             mean = stat_mean + (m0 - stat_mean) * np.exp(-lam * delta_t)
             var = stat_var + (p0 - stat_var) * np.exp(-2.0 * lam * delta_t)
-        return GaussianBelief(belief.time + delta_t, np.array([mean]), np.array([[max(var, 0.0)]]))
+        return GaussianBelief(belief.time + delta_t, mean, np.array([[max(var, 0.0)]]))
 
-    # matrix case: RK4 on dm = (-lam m + u) dt, dP = (-lam P - P lam^T + sig sig^T) dt
+    # matrix case: RK4 on dm = (-lam m + u) dt, dP = (-lam P - P lam^T + sig sig^T) dt;
+    # (M @ mean.T).T is M @ mean for one path and the same product per row of a block
     lam, u = params.lam, params.drift_const
     sig2 = params.sigma_x @ params.sigma_x.T
     mean, cov = belief.mean.copy(), belief.cov.copy()
@@ -192,7 +189,7 @@ def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float,
 
     def rhs(state):
         mm, pp = state
-        return (-lam @ mm + u, -lam @ pp - pp @ lam.T + sig2)
+        return ((-lam @ mm.T).T + u, -lam @ pp - pp @ lam.T + sig2)
 
     for _ in range(n_sub):
         k1 = rhs((mean, cov))
@@ -212,22 +209,28 @@ def jump_update(
     ordering: str = "observe_then_jump",
     index: int = 0,
 ) -> tuple[GaussianBelief, EventUpdate]:
-    """Condition on one observation increment and apply the signal jump."""
+    """Condition on one observation increment and apply the signal jump.
+
+    For a block of P paths (mean (P, m)), dy and y_pre hold one row per
+    path and the record's pred_mean and innovation are (P, n).
+    """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
-    dy = np.asarray(dy, dtype=float).reshape(params.n)
-    y_pre = np.asarray(y_pre, dtype=float).reshape(params.n)
     A, C, Q, R = params.A, params.C, params.Q, params.R
     m_pre, p_pre = belief.mean, belief.cov
+    rows = m_pre.shape[:-1] + (params.n,)
+    dy = np.asarray(dy, dtype=float).reshape(rows)
+    y_pre = np.asarray(y_pre, dtype=float).reshape(rows)
 
-    pred_mean = A @ m_pre - C @ y_pre + params.obs_intercept
+    # (M @ x.T).T is M @ x for one path and the same product per row of a block
+    pred_mean = (A @ m_pre.T).T - (C @ y_pre.T).T + params.obs_intercept
     pred_cov = A @ p_pre @ A.T + R
     v = dy - pred_mean
 
     p_gain = p_pre + Q if ordering == "jump_then_observe" else p_pre
     s = A @ p_gain @ A.T + R
     gain = _solve_gain(p_gain, A, s)
-    mean_post = m_pre + gain @ v
+    mean_post = m_pre + (gain @ v.T).T
     cov_obs = p_gain - gain @ A @ p_gain
     cov_post = _project_psd(cov_obs + Q) if ordering == "observe_then_jump" else _project_psd(cov_obs)
     if not (np.all(np.isfinite(mean_post)) and np.all(np.isfinite(cov_post))):
@@ -327,79 +330,42 @@ def filter_events_vectorized(
     times: np.ndarray,
     ordering: str = "observe_then_jump",
 ) -> VecEventBeliefs:
-    """Run the scalar exact filter across paths that share event times."""
+    """Run the scalar exact filter across paths that share event times.
+
+    One `propagate` and one `jump_update` per event on the (n_paths, 1)
+    block of means, so row p is `run_filter` on path p's events alone.
+    """
     if not params.scalar:
         raise IncompatibleMethod("vectorized event filtering is scalar-only")
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
     dys = np.asarray(dys, dtype=float)
-    n_paths, K = dys.shape
-    a = float(params.A[0, 0])
-    c = float(params.C[0, 0])
-    b = float(params.obs_intercept[0])
-    q = float(params.Q[0, 0])
-    r = float(params.R[0, 0])
+    times = np.asarray(times, dtype=float)
+    n_paths = dys.shape[0]
+    belief = GaussianBelief(0.0, np.full((n_paths, 1), float(np.asarray(x0).reshape(-1)[0])), np.zeros((1, 1)))
+    y = np.zeros((n_paths, 1))
+    records = []
+    for i, ti in enumerate(times):
+        belief = propagate(belief, params, ti - belief.time)
+        belief, record = jump_update(belief, params, dys[:, i : i + 1], y, ordering, index=i + 1)
+        records.append(record)
+        y = y + dys[:, i : i + 1]
 
-    mean = np.full(n_paths, float(np.asarray(x0).reshape(-1)[0]))
-    var = 0.0
-    y = np.zeros(n_paths)
-    t_cur = 0.0
-    out = {k: np.empty((n_paths, K)) for k in ("pred_mean", "innovation", "post_mean", "pre_mean")}
-    shared = {k: np.empty(K) for k in ("pred_var", "gain_var", "post_var", "pre_var")}
+    def per_path(name: str) -> np.ndarray:
+        return np.array([getattr(r, name)[:, 0] for r in records]).reshape(len(times), n_paths).T
 
-    for i, ti in enumerate(np.asarray(times, dtype=float)):
-        bel = propagate(GaussianBelief(t_cur, np.array([0.0]), np.array([[var]])), params, ti - t_cur)
-        decay = _mean_decay(params, ti - t_cur)
-        offset = _mean_offset(params, ti - t_cur)
-        mean = offset + decay * mean
-        var = float(bel.cov[0, 0])
-        t_cur = ti
-
-        pred_mean = a * mean - c * y + b
-        pred_var = a * a * var + r
-        v = dys[:, i] - pred_mean
-        var_gain = var + q if ordering == "jump_then_observe" else var
-        s = a * a * var_gain + r
-        if s <= 0:
-            raise SingularS(f"innovation variance {s} at event {i + 1}")
-        gain = var_gain * a / s
-        out["pre_mean"][:, i] = mean
-        shared["pre_var"][i] = var
-        mean = mean + gain * v
-        var_post = var_gain - gain * a * var_gain
-        var = var_post + q if ordering == "observe_then_jump" else var_post
-        y = y + dys[:, i]
-        out["pred_mean"][:, i] = pred_mean
-        shared["pred_var"][i] = pred_var
-        out["innovation"][:, i] = v
-        shared["gain_var"][i] = s
-        out["post_mean"][:, i] = mean
-        shared["post_var"][i] = var
+    def shared(name: str) -> np.ndarray:
+        return np.array([getattr(r, name)[0, 0] for r in records], dtype=float)
 
     return VecEventBeliefs(
-        times=np.asarray(times, dtype=float),
-        pred_mean=out["pred_mean"],
-        pred_var=shared["pred_var"],
-        innovation=out["innovation"],
-        gain_var=shared["gain_var"],
-        post_mean=out["post_mean"],
-        post_var=shared["post_var"],
-        pre_mean=out["pre_mean"],
-        pre_var=shared["pre_var"],
+        times=times,
+        pred_mean=per_path("pred_mean"),
+        pred_var=shared("pred_cov"),
+        innovation=per_path("innovation"),
+        gain_var=shared("innovation_cov"),
+        post_mean=per_path("mean_post"),
+        post_var=shared("cov_post"),
+        pre_mean=per_path("mean_pre"),
+        pre_var=shared("cov_pre"),
     )
-
-
-def _mean_decay(params: LinearModelParams, delta_t: float) -> float:
-    lam = float(params.lam[0, 0])
-    return float(np.exp(-lam * delta_t))
-
-
-def _mean_offset(params: LinearModelParams, delta_t: float) -> float:
-    lam = float(params.lam[0, 0])
-    u = float(params.drift_const[0])
-    if abs(lam) < 1e-14:
-        return u * delta_t
-    return (u / lam) * (1.0 - np.exp(-lam * delta_t))
 
 
 def _solve_gain(p: np.ndarray, A: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -248,10 +248,11 @@ def _event_update(
         log_total = _logsumexp(log_wr)
         if not np.isfinite(log_total):
             raise ZeroMass("all particle likelihood ratios vanished")
+        # r_j - R = R (exp(loglik_j - log_total) - 1), so the spread is taken
+        # relative to R and stays finite where r_j itself would overflow
         w_pre = ensemble.weights
-        r = np.exp(loglik - log_ref)
         mass_ratio = float(np.exp(log_total - log_ref))
-        ratio_se = float(np.sqrt(np.sum(w_pre**2 * (r - mass_ratio) ** 2)))
+        ratio_se = mass_ratio * float(np.sqrt(np.sum(w_pre**2 * np.expm1(loglik - log_total) ** 2)))
         ensemble.log_mass = log_mass_pre + log_total - log_ref
         ensemble.log_w = log_wr - log_total
     else:
@@ -278,16 +279,21 @@ def _event_update(
     )
 
 
-def gamma_gaussian(pred_mean: float, pred_var: float, r: float, y: float) -> float:
+def gamma_gaussian(pred_mean, pred_var, r: float, y) -> float | np.ndarray:
     """Log ratio of the N(0, r) density to the N(pred_mean, pred_var + r)
     density at y.  pred_var is the pre-event variance of the noiseless
-    increment, so pred_var + r is the full predictive variance."""
+    increment, so pred_var + r is the full predictive variance.
+
+    pred_mean, pred_var and y may be arrays, which broadcast; the result is
+    then an array, and a float otherwise.
+    """
     if r <= 0.0:
         raise NonpositiveR(f"measurement noise variance must be positive, got {r}")
-    if pred_var < 0.0:
+    if np.any(np.asarray(pred_var) < 0.0):
         raise ValueError(f"predictive variance must be nonnegative, got {pred_var}")
     s = pred_var + r
-    return float(0.5 * np.log(s / r) - y**2 / (2.0 * r) + (y - pred_mean) ** 2 / (2.0 * s))
+    gamma = 0.5 * np.log(s / r) - y**2 / (2.0 * r) + (y - pred_mean) ** 2 / (2.0 * s)
+    return float(gamma) if np.ndim(gamma) == 0 else gamma
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "build_time_grid",
     "simulate_path",
     "run_ensemble",
-    "empirical_compensator_check_data",
 ]
 
 _MERGE_TOL = 1e-9
@@ -296,64 +295,3 @@ def run_ensemble(
 
 def _eval_integrands(integrands, x: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(g(x), dtype=float) for g in integrands], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# compensator check data
-
-
-def empirical_compensator_check_data(
-    scenario: ValidatedScenario,
-    n_paths: int,
-    seed: int | None = None,
-    weight_fns: dict | None = None,
-    quad_order: int = 24,
-    variance_scale: float = 1.0,
-):
-    """Per-path event sums (W * mu) and predicted sums (W * nu).
-
-    For each path, (W * mu) adds W(T_i, dY_i) over realized events, and
-    (W * nu) adds the quadrature of W(T_i, .) against the one-step
-    predictive law of dY given the filter state, N(A m- - C y-, A P- A^T + R),
-    computed with the exact Gaussian recursion (linear-Gaussian scenarios
-    only).  `variance_scale` rescales the predictive variance and exists
-    for negative controls.  Returns (weight name -> (mu_sums, nu_sums),
-    event_times).
-    """
-    from . import kalman  # deferred to keep module import order flexible
-
-    params = kalman.linear_params_from_scenario(scenario)  # raises IncompatibleMethod
-    if weight_fns is None:
-        weight_fns = default_weight_battery(scenario)
-    ens = run_ensemble(scenario, n_paths, seed)
-    K = len(ens.event_times)
-    mu = {name: np.zeros(n_paths) for name in weight_fns}
-    nu = {name: np.zeros(n_paths) for name in weight_fns}
-    if K == 0:
-        return {name: (mu[name], nu[name]) for name in weight_fns}, ens.event_times
-
-    beliefs = kalman.filter_events_vectorized(params, scenario.x0, ens.dy[:, :, 0], ens.event_times)
-    from .quad import gaussian_quad_points
-
-    std_pts, w = gaussian_quad_points(0.0, 1.0, quad_order)
-    for i, ti in enumerate(ens.event_times):
-        pred_mean = beliefs.pred_mean[:, i]
-        pred_var = beliefs.pred_var[i] * variance_scale
-        nodes = pred_mean[:, None] + np.sqrt(pred_var) * std_pts[None, :]
-        for name, fn in weight_fns.items():
-            mu[name] += fn(ti, ens.dy[:, i, 0])
-            nu[name] += (w[None, :] * fn(ti, nodes)).sum(axis=1)
-    return {name: (mu[name], nu[name]) for name in weight_fns}, ens.event_times
-
-
-def default_weight_battery(scenario: ValidatedScenario) -> dict:
-    """Predictable weights W(t, y): constants, moments, one time window."""
-    sched = scenario.schedule
-    t1 = sched.times[0] if sched.kind == "deterministic" and sched.times else np.inf
-
-    return {
-        "one": lambda t, y: np.ones_like(y),
-        "y": lambda t, y: y,
-        "y_squared": lambda t, y: y**2,
-        "y_before_first_event": lambda t, y: y * (1.0 if t <= t1 else 0.0),
-    }

@@ -173,6 +173,32 @@ def _off_lattice_config(tmp: Path) -> Path:
     return path
 
 
+@pytest.mark.parametrize("nodes", ["0", "1", "15"])
+def test_grid_nodes_below_floor_exit_2(tmp_path, run_cli, nodes):
+    proc = run_cli(
+        ["filter", "ou_kalman", "--method", "grid", "--nodes", nodes, "--out", str(tmp_path / "x")], tmp_path
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at least 16 nodes" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "ou_kalman", "--paths", "-3"],
+        ["simulate", "ou_kalman", "--paths", "0"],
+        ["diagnose", "ou_kalman", "--checks", "zakai,ks-residual", "--runs", "0"],
+        ["diagnose", "ou_kalman", "--checks", "compensator", "--paths", "0"],
+    ],
+)
+def test_counts_below_one_exit_2(tmp_path, run_cli, args):
+    proc = run_cli(args + ["--out", str(tmp_path / "x")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "must be at least 1" in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_off_lattice_times_run_grid_under_all(tmp_path, run_cli):
     out = tmp_path / "fil"
     proc = run_cli(

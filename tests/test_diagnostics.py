@@ -67,6 +67,22 @@ def test_zakai_passes_and_rejects(ou_scenario):
     assert not bad.passed
 
 
+def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
+    # an SE that overflowed (or is zero) cannot support a t-statistic, so
+    # the mass-jump sub-check must fail rather than read t = 0
+    run = diagnostics.run_particle_filter
+
+    def broken_se(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        traj.events[0] = dataclasses.replace(traj.events[0], mass_ratio_se=np.inf)
+        return traj
+
+    monkeypatch.setattr(diagnostics, "run_particle_filter", broken_se)
+    rep = diagnostics.check_zakai(ou_scenario, n_runs=1, n_particles=500, subchecks=("mass_jump",))
+    assert not rep.passed
+    assert rep.details["mass_jump"]["rows"][0]["tstat"] == np.inf
+
+
 def test_reports_are_deterministic(ou_scenario):
     a = diagnostics.check_compensator(ou_scenario, n_paths=500, seed=42)
     b = diagnostics.check_compensator(ou_scenario, n_paths=500, seed=42)

@@ -190,6 +190,55 @@ def test_vectorized_filter_matches_scalar_loop(ou_scenario):
         assert float(beliefs.post_var[-1]) == pytest.approx(p_ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("preset", ["ou_kalman", "credit_risk"])
+@pytest.mark.parametrize("ordering", kalman.ORDERINGS)
+def test_vectorized_rows_equal_run_filter(preset, ordering):
+    # one recursion: row p of the block filter is run_filter on path p alone
+    scn = build_preset(preset)
+    params = kalman.linear_params_from_scenario(scn)
+    paths = [simulate.simulate_path(scn, path_id=p).events for p in range(6)]
+    dys = np.array([[float(e.dy[0]) for e in events] for events in paths])
+    beliefs = kalman.filter_events_vectorized(params, scn.x0, dys, [e.time for e in paths[0]], ordering)
+    for p, events in enumerate(paths):
+        records = kalman.run_filter(scn, events, [], ordering=ordering).events
+        pairs = {
+            "pre_mean": [r.mean_pre[0] for r in records],
+            "pre_var": [r.cov_pre[0, 0] for r in records],
+            "post_mean": [r.mean_post[0] for r in records],
+            "post_var": [r.cov_post[0, 0] for r in records],
+            "pred_mean": [r.pred_mean[0] for r in records],
+            "pred_var": [r.pred_cov[0, 0] for r in records],
+            "innovation": [r.innovation[0] for r in records],
+            "gain_var": [r.innovation_cov[0, 0] for r in records],
+        }
+        for name, want in pairs.items():
+            got = getattr(beliefs, name)
+            assert np.array_equal(got[p] if got.ndim == 2 else got, want), (name, p)
+
+
+@pytest.mark.parametrize("ordering", kalman.ORDERINGS)
+def test_jump_update_block_equals_single_paths(ou_params, ordering):
+    rng = np.random.default_rng(3)
+    means, dys, y_pre = rng.normal(size=(3, 5, 1))
+    block, rec = kalman.jump_update(
+        kalman.GaussianBelief(0.5, means, np.array([[0.05]])), ou_params, dys, y_pre, ordering
+    )
+    for p in range(5):
+        one, rec_one = kalman.jump_update(_belief(0.5, means[p, 0], 0.05), ou_params, dys[p], y_pre[p], ordering)
+        assert np.array_equal(block.mean[p], one.mean)
+        assert np.array_equal(block.cov, one.cov)
+        for name in ("innovation", "pred_mean", "mean_pre", "mean_post"):
+            assert np.array_equal(getattr(rec, name)[p], getattr(rec_one, name)), name
+        for name in ("innovation_cov", "gain", "pred_cov", "cov_pre", "cov_post"):
+            assert np.array_equal(getattr(rec, name), getattr(rec_one, name)), name
+
+
+def test_vectorized_filter_without_events(ou_params):
+    beliefs = kalman.filter_events_vectorized(ou_params, np.array([1.0]), np.zeros((4, 0)), [])
+    assert beliefs.post_mean.shape == (4, 0)
+    assert beliefs.post_var.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # statistical structure along simulated paths
 
@@ -232,6 +281,26 @@ def test_tower_property_of_posterior_mean(ou_scenario):
 def test_nonlinear_scenario_rejected(medical_scenario):
     with pytest.raises(IncompatibleMethod):
         kalman.linear_params_from_scenario(medical_scenario)
+
+
+@pytest.mark.parametrize(
+    "field, desc",
+    [
+        ("drift", {"kind": "poly", "coeffs": [0.0, -1.0, 0.5]}),
+        ("drift", {"kind": "sum", "children": [{"kind": "identity"}, {"kind": "exp", "child": {"kind": "identity"}}]}),
+        ("drift", {"kind": "scale", "factor": -1.0, "child": {"kind": "exp", "child": {"kind": "identity"}}}),
+        ("diffusion", {"kind": "affine", "slope": 0.1, "intercept": 0.5}),
+        ("diffusion", {"kind": "exp", "child": {"kind": "const", "value": 0.0}}),
+        ("jump_coeff", {"kind": "identity"}),
+        ("jump_coeff", {"kind": "constant_matrix", "value": [[1.0]]}),
+        ("obs_fn", {"kind": "state_expr_minus_y", "expr": {"kind": "exp", "child": {"kind": "identity"}}, "c": 0.0}),
+    ],
+)
+def test_non_affine_coefficients_rejected(field, desc):
+    cfg = PRESETS["ou_kalman"]()
+    scn = model.validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **{field: desc})))
+    with pytest.raises(IncompatibleMethod):
+        kalman.linear_params_from_scenario(scn)
 
 
 def test_discrete_marks_rejected():

@@ -6,6 +6,7 @@ linear-Gaussian recursion on a shared event sequence.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.stats import norm
 
 from schedfilt import kalman, model, particle, simulate
 from schedfilt.errors import IncompatibleMethod, NonpositiveR, WeightCollapse
+from schedfilt.presets import PRESETS
 from schedfilt.quad import gaussian_quad_points
 from schedfilt.testfns import clipped_identity
 
@@ -117,6 +119,8 @@ def test_exp_gamma_integrates_to_one_under_predictive():
     nodes, wts = gaussian_quad_points(pm, pv + r, 80)
     gam = np.array([particle.gamma_gaussian(pm, pv, r, float(y)) for y in nodes])
     assert float(np.sum(wts * np.exp(gam))) == pytest.approx(1.0, abs=1e-10)
+    # the array form is the scalar calls, element for element
+    assert np.array_equal(particle.gamma_gaussian(pm, pv, r, nodes), gam)
 
 
 def test_modes_agree_on_shared_randomness(ou_scenario):
@@ -208,6 +212,22 @@ def test_ks_filter_tracks_exact_recursion(ou_scenario):
     m_pf = float(pf.means[-1, 0])
     se = float(pf.phi_se["x"][-1])
     assert abs(m_pf - m_exact) < max(3.0 * se, 0.01)
+
+
+def test_zakai_mass_ratio_se_stays_finite():
+    # with r = 1e-3 the first increment of path 0 lies far out in the noise
+    # law: the mass ratio is about 3.7e190, and its spread taken in linear
+    # scale overflowed to an infinite SE
+    cfg = PRESETS["ou_kalman"]()
+    law = model.JumpLawSpec(kind="gaussian_product", q=((0.04,),), r=((1e-3,),))
+    scn = model.validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, jump_law=law)))
+    events = simulate.simulate_path(scn, path_id=0).events
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = particle.run_particle_filter(scn, events, method="zakai", n_particles=2000, reporting_times=[])
+    assert traj.events[0].mass_ratio > 1e150
+    for rec in traj.events:
+        assert np.isfinite(rec.mass_ratio_se) and 0.0 < rec.mass_ratio_se < rec.mass_ratio
 
 
 def test_zakai_filter_matches_ks_estimates(ou_scenario):
