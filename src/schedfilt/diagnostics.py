@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rngs, simulate, testfns
-from .errors import IncompatibleMethod, UnsupportedScenario
+from .errors import IncompatibleMethod, UnsupportedScenario, ValidationError
 from .kalman import LinearModelParams, filter_events_vectorized, linear_params_from_scenario
 from .model import ValidatedScenario
 from .particle import gamma_gaussian, run_particle_filter
@@ -89,6 +89,8 @@ def check_martingale_Mphi(
     The negative control drops the predictable-jump sum, which biases the
     mean by the accumulated expected jump effect once events occur.
     """
+    if n_paths < 4:
+        raise ValidationError(f"the martingale check's 3-feature regression needs at least 4 paths, got {n_paths}")
     if phi is None:
         phi = testfns.default_battery(scenario.m)[0]
     if seed is None:
@@ -174,10 +176,13 @@ def check_ks_residual(
     Interior: |pi_{t+h}(phi) - pi_t(phi) - h pi_t(L phi)| must shrink like
     h^2 (halving ratio in [3.2, 4.8]); the ratio is measured on the battery
     function with the largest half-step remainder, since a degenerate
-    second-order coefficient carries no order information.  Events: the
-    jump of pi(phi) for the given phi must match pre-event expected jump +
-    observed conditional change - its predictive average, all from grid
-    quantities.  The negative control drops the expected-jump term.
+    second-order coefficient carries no order information.  Events: the KS
+    equation makes the jump of pi(phi) at T the prior expected signal jump
+    pi_{T-}(A phi) plus the observed conditional change S phi(dY) minus its
+    predictive average.  The observed change cancels from that balance, so
+    what is tested is the tower identity E_pred[S phi(dY)] = pi_{T-}(A phi)
+    at each event of a grid filter run: the residual is nu_term - a_term.
+    The negative control drops a_term.
     """
     from . import grid
 
@@ -217,32 +222,20 @@ def check_ks_residual(
     ratio_ok = 3.2 <= ratio <= 4.8
 
     # event residuals along simulated observation paths
-    worst = 0.0
-    residuals = []
+    a_terms, nu_terms = [], []
     for run in range(n_runs):
-        sim = simulate.simulate_path(scenario, path_id=run, seed=seed)
-        dens = grid.init_density(x_nodes, float(scenario.x0[0]))
-        t_cur = 0.0
-        for event in sim.events:
-            te = float(event.time)
-            if te > t_cur + 1e-12:
-                dens = grid.grid_propagate(dens, scenario, te - t_cur)
-                t_cur = te
-            dy = float(np.asarray(event.dy).reshape(-1)[0])
-            y_pre = float(np.asarray(event.y_pre).reshape(-1)[0])
-            pre_phi = dens.expectation(phi)
-            a_term = dens.expectation(aphi)
-            post = grid.grid_event_update(dens, scenario, dy, y_pre)
-            delta = post.expectation(phi) - pre_phi
-            s_term = delta  # grid_S_phi at the realized dy is this same update
-            nu_term = grid.grid_nu_integral(dens, scenario, phi, y_pre)
-            if negative_control:
-                residual = delta - (s_term - nu_term)
-            else:
-                residual = delta - (a_term + s_term - nu_term)
-            residuals.append(residual)
-            worst = max(worst, abs(residual))
-            dens = post
+        events = simulate.simulate_path(scenario, path_id=run, seed=seed).events
+        traj = grid.grid_run_filter(
+            scenario, events, reporting_times=[], domain=(x_nodes[0], x_nodes[-1]),
+            n_nodes=x_nodes.size, collect_densities=True,
+        )
+        pre = [p for p, side in zip(traj.densities, traj.sides) if side == "pre"]
+        for event, p in zip(sorted(events, key=lambda e: float(e.time)), pre):
+            dens = grid.GridDensity(x_nodes, p)
+            a_terms.append(dens.expectation(aphi))
+            nu_terms.append(grid.grid_nu_integral(dens, scenario, phi, float(np.asarray(event.y_pre).reshape(-1)[0])))
+    residuals = [nu if negative_control else nu - a for a, nu in zip(a_terms, nu_terms)]
+    worst = max((abs(r) for r in residuals), default=0.0)
     passed = ratio_ok and worst <= tol
     return CheckReport(
         name="ks_residual",
@@ -258,6 +251,8 @@ def check_ks_residual(
             "interior_ratio_phi": ratio_phi,
             "interior_ratio_ok": ratio_ok,
             "event_residuals": residuals,
+            "a_terms": a_terms,
+            "nu_terms": nu_terms,
             "worst_event_residual": float(worst),
             "tol": float(tol),
         },
@@ -462,6 +457,8 @@ def check_compensator(
     battery.  The negative control doubles the predictive variance on the
     projection side, which the quadratic weight must reject.
     """
+    if n_paths < 2:
+        raise ValidationError(f"the compensator check's paired SE needs at least 2 paths, got {n_paths}")
     if seed is None:
         seed = scenario.seed
     variance_scale = 2.0 if negative_control else 1.0

@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import UnknownFunctionDescriptor
+from .errors import UnknownFunctionDescriptor, ValidationError
 
 __all__ = [
     "eval_scalar_expr",
@@ -237,7 +237,7 @@ def validate_descriptor(desc: Descriptor, role: str, m: int, n: int, probe: np.n
         vals = compile_obs_fn(desc, m, n)(probe, np.zeros(n))
         expected = probe.shape[:-1] + (n,)
     else:
-        raise ValueError(f"unknown descriptor role: {role!r}")
+        raise ValidationError(f"unknown descriptor role: {role!r}")
     if vals.shape != expected:
         raise UnknownFunctionDescriptor(
             f"{role} descriptor produced shape {vals.shape}, expected {expected}"

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rngs
-from .errors import BoundaryLeak, UnsupportedScenario, ValidationError, ZeroLikelihoodMass
+from .errors import BoundaryLeak, NegativeDt, UnsupportedScenario, ValidationError, ZeroLikelihoodMass
 from .model import GaussianMarks, ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
@@ -37,9 +37,7 @@ __all__ = [
     "init_density",
     "grid_propagate",
     "grid_event_update",
-    "grid_S_phi",
     "grid_nu_integral",
-    "predictive_density",
     "grid_run_filter",
 ]
 
@@ -292,7 +290,7 @@ def grid_propagate(
     particles and the simulator do."""
     _require_scalar(scenario)
     if delta_t < 0:
-        raise ValueError(f"delta_t must be nonnegative, got {delta_t}")
+        raise NegativeDt(f"delta_t must be nonnegative, got {delta_t}")
     if delta_t == 0.0:
         return density.copy()
     if substep is None:
@@ -322,24 +320,37 @@ def _likelihood(density: GridDensity, scenario: ValidatedScenario, dy: float, y_
     return np.exp(scenario.jump_law.eta_log_density(eta_hat)), eta_hat[:, 0]
 
 
+def _gaussian_jump_band(scenario: ValidatedScenario, x: np.ndarray, eta_hat: np.ndarray | None = None) -> np.ndarray:
+    """Band of x -> x + c(x) xi with xi | eta_hat = N(gain eta_hat, sd^2) at
+    each node.  With gain 0 it does not depend on eta_hat, so one band per
+    scenario and grid serves every event."""
+    law = scenario.jump_law
+    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
+    gain, sd = float(law.gain[0, 0]), float(np.sqrt(law.cond_cov[0, 0]))
+    if gain == 0.0:
+        spec = {"jump": scenario.config.model.jump_coeff}
+        return _memo_band(spec, x, sd, lambda: _kernel_rows(x, x, np.abs(cvals) * sd))
+    return _kernel_rows(x, x + cvals * (gain * eta_hat), np.abs(cvals) * sd)
+
+
+def _band_adjoint(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J^T v for the kernel J that `_apply_band` applies to masses."""
+    G, h = band.shape[0], band.shape[1] // 2
+    source = sliding_window_view(np.arange(G + 2 * h), band.shape[1])
+    return np.bincount(source.ravel(), (band * v[:, None]).ravel())[h : h + G]
+
+
 def _apply_jump_convolution(density: GridDensity, scenario: ValidatedScenario, eta_hat: np.ndarray) -> np.ndarray:
     """Push the density through the conditional signal jump."""
     law = scenario.jump_law
     x = density.x
     if law.xi_is_zero:
         return density.p
-    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
-
     if isinstance(law, GaussianMarks):
-        # xi | eta_hat = N(gain eta_hat, sd^2) at each node
-        gain, sd = float(law.gain[0, 0]), float(np.sqrt(law.cond_cov[0, 0]))
-        if gain == 0.0:
-            # eta-independent, so one band per scenario and grid serves every event
-            spec = {"jump": scenario.config.model.jump_coeff}
-            return _apply_band(density, _memo_band(spec, x, sd, lambda: _kernel_rows(x, x, np.abs(cvals) * sd)))
-        return _apply_band(density, _kernel_rows(x, x + cvals * (gain * eta_hat), np.abs(cvals) * sd))
+        return _apply_band(density, _gaussian_jump_band(scenario, x, eta_hat))
 
     # discrete: one splat per (node, atom), accumulated in node then atom order
+    cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
     w = density.trapz_weights()
     masses = density.p * w
     live = np.flatnonzero(masses > 0.0)
@@ -375,36 +386,6 @@ def grid_event_update(
     return _check_density(posterior, "event update", check_boundary=check_boundary)
 
 
-def grid_S_phi(
-    density_pre: GridDensity,
-    scenario: ValidatedScenario,
-    phi,
-    y: float,
-    y_pre: float,
-    check_boundary: bool = True,
-) -> float:
-    """Conditional expected change of phi across an event given dy = y:
-    E[phi(X_post) | pre-event law, dy = y] - E_pre[phi].  Shares the exact
-    update code, so at the realized dy it reproduces the filter's jump in
-    phi-expectation to machine precision."""
-    posterior = grid_event_update(density_pre, scenario, y, y_pre, check_boundary=check_boundary)
-    return posterior.expectation(phi) - density_pre.expectation(phi)
-
-
-def predictive_density(density_pre: GridDensity, scenario: ValidatedScenario, y_values: np.ndarray, y_pre: float) -> np.ndarray:
-    """Density of the observation increment under the pre-event law."""
-    _require_scalar(scenario)
-    law = scenario.jump_law
-    if not law.eta_has_density:
-        raise UnsupportedScenario("predictive density needs a measurement-noise density")
-    f_vals = scenario.obs_fn(density_pre.x[:, None], np.array([y_pre]))[:, 0]
-    out = np.empty(np.asarray(y_values).size)
-    for i, y in enumerate(np.asarray(y_values, dtype=float).reshape(-1)):
-        g = np.exp(law.eta_log_density((y - f_vals)[:, None]))
-        out[i] = np.trapezoid(density_pre.p * g, density_pre.x)
-    return out
-
-
 def grid_nu_integral(
     density_pre: GridDensity,
     scenario: ValidatedScenario,
@@ -412,11 +393,16 @@ def grid_nu_integral(
     y_pre: float,
     order: int | None = None,
 ) -> float:
-    """Integral of S(phi)(y) against the predictive law of dy.
+    """Integral of S(phi)(y) = E[phi(X_post) | dy = y] - E_pre[phi] against
+    the predictive law of dy: Gauss-Hermite nodes anchored at its mean and
+    variance, each weighted by the ratio of the predictive density to the
+    Gaussian envelope.
 
-    Gauss-Hermite nodes are anchored at the predictive mean and variance
-    of dy under the pre-event density; the integrand carries the ratio of
-    the true predictive density to the Gaussian envelope.
+    One likelihood product over all nodes gives the predictive density (its
+    row sums) and the prior masses q_k.  When the jump band J does not
+    depend on eta_hat, E_post,k[phi] = <q_k, J^T phi> / <q_k, J^T 1>;
+    otherwise each node gets a full event update.  A node whose predictive
+    density, envelope or post-jump mass is zero or non-finite is skipped.
     """
     _require_scalar(scenario)
     law = scenario.jump_law
@@ -424,24 +410,35 @@ def grid_nu_integral(
         raise UnsupportedScenario("predictive-law integral needs a measurement-noise density")
     if order is None:
         order = scenario.filters.quad_order_event
-    f_vals = scenario.obs_fn(density_pre.x[:, None], np.array([y_pre]))[:, 0]
-    mean_y = float(np.trapezoid(density_pre.p * f_vals, density_pre.x))
-    var_f = float(np.trapezoid(density_pre.p * (f_vals - mean_y) ** 2, density_pre.x))
-    r = float(law.See[0, 0])
-    var_y = var_f + r
+    x, p = density_pre.x, density_pre.p
+    f_vals = scenario.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
+    mean_y = float(np.trapezoid(p * f_vals, x))
+    var_y = float(np.trapezoid(p * (f_vals - mean_y) ** 2, x)) + float(law.See[0, 0])
     nodes, wts = gaussian_quad_points(mean_y, var_y, order)
-    f_i = predictive_density(density_pre, scenario, nodes, y_pre)
     envelope = np.exp(-0.5 * (nodes - mean_y) ** 2 / var_y) / np.sqrt(2.0 * np.pi * var_y)
-    total = 0.0
-    for y_k, w_k, fi_k, env_k in zip(nodes, wts, f_i, envelope):
-        if fi_k <= 0.0 or env_k <= 0.0:
-            continue
-        try:
-            s_k = grid_S_phi(density_pre, scenario, phi, float(y_k), y_pre, check_boundary=False)
-        except ZeroLikelihoodMass:
-            continue  # likelihood underflow: the node's weight is negligible anyway
-        total += w_k * s_k * (fi_k / env_k)
-    return total
+    eta = (nodes[:, None] - f_vals).reshape(-1, 1)
+    q = p * np.exp(law.eta_log_density(eta)).reshape(order, x.size)
+    f_i = np.trapezoid(q, x, axis=1)  # predictive density of dy at the nodes
+    live = (f_i > 0.0) & (envelope > 0.0)
+
+    post = np.full(order, np.nan)  # E[phi(X_post) | dy = node]
+    if law.gain.any():  # the jump band depends on eta_hat: one full update per node
+        for k in np.flatnonzero(live):
+            try:
+                post[k] = grid_event_update(density_pre, scenario, nodes[k], y_pre, check_boundary=False).expectation(phi)
+            except ZeroLikelihoodMass:
+                continue  # likelihood underflow: the node's weight is negligible anyway
+    else:
+        phi_vals = np.asarray(phi(x[:, None]), dtype=float).reshape(x.size)
+        adj = np.stack([phi_vals, np.ones(x.size)])
+        if not law.xi_is_zero:
+            band = _gaussian_jump_band(scenario, x)
+            adj = np.stack([_band_adjoint(band, v) for v in adj])
+        num, den = adj @ (q[live] * density_pre.trapz_weights()).T
+        post[live] = np.divide(num, den, out=np.full(num.size, np.nan), where=np.isfinite(den) & (den > 0.0))
+    ok = live & np.isfinite(post)
+    s_phi = post[ok] - density_pre.expectation(phi)
+    return float(np.sum(wts[ok] * s_phi * (f_i[ok] / envelope[ok])))
 
 
 def grid_run_filter(

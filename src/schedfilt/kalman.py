@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions
-from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS, UnknownFunctionDescriptor
+from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS, UnknownFunctionDescriptor, ValidationError
 from .model import GaussianMarks, ValidatedScenario, walk_events
 
 __all__ = [
@@ -215,7 +215,7 @@ def jump_update(
     path and the record's pred_mean and innovation are (P, n).
     """
     if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
+        raise ValidationError(f"ordering must be one of {ORDERINGS}")
     A, C, Q, R = params.A, params.C, params.Q, params.R
     m_pre, p_pre = belief.mean, belief.cov
     rows = m_pre.shape[:-1] + (params.n,)

@@ -27,6 +27,7 @@ import numpy as np
 from . import rngs
 from .errors import (
     IncompatibleMethod,
+    NegativeDt,
     NonpositiveR,
     NumericalBlowup,
     ValidationError,
@@ -80,9 +81,6 @@ class ParticleEnsemble:
 
     def ess(self) -> float:
         return effective_sample_size(self.weights)
-
-    def expectation(self, phi) -> float:
-        return float(np.sum(self.weights * np.asarray(phi(self.x)).reshape(self.n)))
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.x
@@ -141,7 +139,7 @@ def propagate(ensemble: ParticleEnsemble, scenario: ValidatedScenario, t_end: fl
     """
     t = ensemble.time
     if t_end < t - 1e-12:
-        raise ValueError(f"cannot propagate backwards from {t} to {t_end}")
+        raise NegativeDt(f"cannot propagate backwards from {t} to {t_end}")
     dt = scenario.dt
     drift, diffusion_apply = scenario.drift, scenario.diffusion_apply
     # Work arrays are allocated once: fresh ones of this size every substep
@@ -290,7 +288,7 @@ def gamma_gaussian(pred_mean, pred_var, r: float, y) -> float | np.ndarray:
     if r <= 0.0:
         raise NonpositiveR(f"measurement noise variance must be positive, got {r}")
     if np.any(np.asarray(pred_var) < 0.0):
-        raise ValueError(f"predictive variance must be nonnegative, got {pred_var}")
+        raise ValidationError(f"predictive variance must be nonnegative, got {pred_var}")
     s = pred_var + r
     gamma = 0.5 * np.log(s / r) - y**2 / (2.0 * r) + (y - pred_mean) ** 2 / (2.0 * s)
     return float(gamma) if np.ndim(gamma) == 0 else gamma

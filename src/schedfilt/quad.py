@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["gh_nodes_weights", "gaussian_quad_points"]
 
 _SQRT_PI = float(np.sqrt(np.pi))
@@ -15,7 +17,7 @@ _SQRT_PI = float(np.sqrt(np.pi))
 def gh_nodes_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the physicists' Hermite rule of given order."""
     if order < 1:
-        raise ValueError("quadrature order must be >= 1")
+        raise ValidationError("quadrature order must be >= 1")
     u, w = np.polynomial.hermite.hermgauss(order)
     return u, w
 
@@ -27,7 +29,7 @@ def gaussian_quad_points(mean: float, var: float, order: int) -> tuple[np.ndarra
     an expectation rule; the weights returned sum to one.
     """
     if var < 0:
-        raise ValueError("variance must be nonnegative")
+        raise ValidationError("variance must be nonnegative")
     u, w = gh_nodes_weights(order)
     pts = mean + np.sqrt(2.0 * var) * u
     return pts, w / _SQRT_PI

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Stream labels.  Keep values stable: they are part of the reproducibility
 # contract for seeded runs.
 PATH_DIFFUSION = 0
@@ -32,5 +34,5 @@ __all__ = [
 def stream(seed: int, *labels: int) -> np.random.Generator:
     """Return the generator for `seed` qualified by integer stream labels."""
     if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+        raise ValidationError("seed must be a nonnegative integer")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, labels)]))

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import ValidatedScenario
 
 __all__ = [
@@ -71,7 +72,7 @@ def gauss_bump(center, scale: float, name: str | None = None) -> TestFunction:
     """phi(x) = exp(-|x - center|^2 / scale)."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise ValidationError("scale must be positive")
 
     def value(x):
         d = x - center
@@ -94,7 +95,7 @@ def gauss_bump(center, scale: float, name: str | None = None) -> TestFunction:
 def clipped_identity(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
     """phi(x) = cap * tanh(x_k / cap): the identity on |x_k| << cap, bounded by cap."""
     if cap <= 0:
-        raise ValueError("cap must be positive")
+        raise ValidationError("cap must be positive")
     k = component
 
     def value(x):
@@ -118,7 +119,7 @@ def clipped_identity(cap: float = 10.0, component: int = 0, name: str | None = N
 def clipped_square(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
     """phi(x) = cap^2 * tanh(x_k / cap)^2: matches x_k^2 on |x_k| << cap."""
     if cap <= 0:
-        raise ValueError("cap must be positive")
+        raise ValidationError("cap must be positive")
     k = component
 
     def value(x):

@@ -199,6 +199,21 @@ def test_counts_below_one_exit_2(tmp_path, run_cli, args):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagnose", "ou_kalman", "--checks", "martingale", "--paths", "1"],
+        ["diagnose", "ou_kalman", "--checks", "martingale", "--paths", "3"],
+        ["diagnose", "ou_kalman", "--checks", "compensator", "--paths", "1"],
+    ],
+)
+def test_too_few_paths_for_a_check_exit_2(tmp_path, run_cli, args):
+    proc = run_cli(args + ["--out", str(tmp_path / "x")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "needs at least" in proc.stderr
+
+
 def test_off_lattice_times_run_grid_under_all(tmp_path, run_cli):
     out = tmp_path / "fil"
     proc = run_cli(

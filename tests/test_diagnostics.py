@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from schedfilt import diagnostics, model
-from schedfilt.errors import UnsupportedScenario
+from schedfilt.errors import UnsupportedScenario, ValidationError
 
 
 def test_compensator_passes_and_rejects(ou_scenario):
@@ -55,6 +55,16 @@ def test_ks_residual_control_needs_jumps(ou_scenario):
     )
     with pytest.raises(UnsupportedScenario):
         diagnostics.check_ks_residual(scn, n_runs=2, negative_control=True)
+
+
+@pytest.mark.parametrize(
+    "check, n_paths",
+    [(diagnostics.check_martingale_Mphi, 1), (diagnostics.check_martingale_Mphi, 3), (diagnostics.check_compensator, 1)],
+)
+def test_path_checks_refuse_too_few_paths(ou_scenario, check, n_paths):
+    # the regression has 3 features and the paired SE needs 2 samples
+    with pytest.raises(ValidationError, match="needs at least"):
+        check(ou_scenario, n_paths=n_paths)
 
 
 def test_zakai_passes_and_rejects(ou_scenario):

@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schedfilt import grid, kalman, model, simulate
+from schedfilt import grid, kalman, model, simulate, testfns
 from schedfilt.errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
+from schedfilt.quad import gaussian_quad_points
 
 
 def _density(x_nodes, p):
@@ -130,7 +131,8 @@ def test_s_phi_linear_model_is_gain_times_innovation(ou_scenario):
 
     phi = lambda v: v
     for y in np.linspace(m_pre - 0.5, m_pre + 0.5, 7):
-        s = grid.grid_S_phi(dens, ou_scenario, phi, float(y), float(ev.y_pre[0]))
+        post = grid.grid_event_update(dens, ou_scenario, float(y), float(ev.y_pre[0]))
+        s = post.expectation(phi) - dens.expectation(phi)
         assert s == pytest.approx(K * (y - m_pre), abs=1e-3)
 
 
@@ -139,7 +141,8 @@ def test_s_phi_constant_function_vanishes(ou_scenario):
     dens = grid.grid_propagate(grid.init_density(x, 1.0), ou_scenario, 0.5)
     one = lambda v: np.ones(v.shape[0])
     for y in (0.3, 0.61, 1.4):
-        assert grid.grid_S_phi(dens, ou_scenario, one, y, 1.0) == pytest.approx(0.0, abs=1e-12)
+        s = grid.grid_event_update(dens, ou_scenario, y, 1.0).expectation(one) - dens.expectation(one)
+        assert s == pytest.approx(0.0, abs=1e-12)
 
 
 def test_update_conserves_mass(ou_scenario):
@@ -277,3 +280,52 @@ def test_discrete_jump_posterior(ou_scenario):
     assert post.mass() == pytest.approx(1.0, abs=1e-12)
     want = _jump_mean(dens, scn, 0.1, 1.0, lambda eta: np.full(eta.shape, (0.2 * -0.3 + 0.5 * 0.25) / 0.7))
     assert post.mean() == pytest.approx(want, abs=1e-12)
+
+
+def _nu_per_node(dens, scn, phi, y_pre):
+    """grid_nu_integral node by node: one full event update per
+    Gauss-Hermite node, skipping a node whose predictive density or
+    envelope is zero or whose update raises ZeroLikelihoodMass.  Returns
+    the integral and the number of nodes skipped."""
+    x, p = dens.x, dens.p
+    f = scn.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
+    mean_y = float(np.trapezoid(p * f, x))
+    var_y = float(np.trapezoid(p * (f - mean_y) ** 2, x)) + float(scn.jump_law.See[0, 0])
+    nodes, wts = gaussian_quad_points(mean_y, var_y, scn.filters.quad_order_event)
+    total, skipped = 0.0, 0
+    for y, w in zip(nodes, wts):
+        f_i = np.trapezoid(p * np.exp(scn.jump_law.eta_log_density((y - f)[:, None])), x)
+        env = np.exp(-0.5 * (y - mean_y) ** 2 / var_y) / np.sqrt(2.0 * np.pi * var_y)
+        try:
+            if f_i <= 0.0 or env <= 0.0:
+                raise ZeroLikelihoodMass("no predictive mass")
+            post = grid.grid_event_update(dens, scn, float(y), y_pre, check_boundary=False)
+        except ZeroLikelihoodMass:
+            skipped += 1
+            continue
+        total += w * (post.expectation(phi) - dens.expectation(phi)) * f_i / env
+    return total, skipped
+
+
+@pytest.mark.parametrize("case", ["ou_kalman", "credit_risk", "zero_xi", "correlated", "tiny_r"])
+def test_nu_integral_matches_per_node_updates(case, ou_scenario, credit_scenario):
+    # zero_xi and correlated carry c(x) = 1 + 0.2 x; tiny_r (r = 1e-6) makes
+    # the likelihood of the outer nodes underflow, so both forms must skip
+    # the same nodes
+    obs = ou_scenario.config.model.obs_fn
+    scn = {
+        "ou_kalman": ou_scenario,
+        "credit_risk": credit_scenario,
+        "zero_xi": _with_law(ou_scenario, model.JumpLawSpec(kind="degenerate_xi_zero", r=((0.01,),)), obs),
+        "correlated": _with_law(ou_scenario, model.JumpLawSpec(kind="gaussian_joint", cov=((0.04, 0.0025), (0.0025, 0.01))), obs),
+        "tiny_r": ou_scenario.with_overrides(model=dataclasses.replace(
+            ou_scenario.config.model, jump_law=model.JumpLawSpec(kind="gaussian_product", q=((0.04,),), r=((1e-6,),))
+        )),
+    }[case]
+    x = grid.make_grid(scn, n_nodes=601)
+    dens = grid.grid_propagate(grid.init_density(x, float(scn.x0[0])), scn, 0.5)
+    phi = testfns.default_battery(1)[0]
+    want, skipped = _nu_per_node(dens, scn, phi, 0.0)
+    assert grid.grid_nu_integral(dens, scn, phi, 0.0) == pytest.approx(want, rel=0.0, abs=1e-14)
+    if case == "tiny_r":
+        assert 0 < skipped < scn.filters.quad_order_event

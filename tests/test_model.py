@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedfilt import model
+from schedfilt import functions, grid, kalman, model, particle, quad, rngs, testfns
 from schedfilt.errors import (
     HorizonTooShort,
     NegativeDt,
     NonIncreasingTimes,
     NonPSDCovariance,
+    SchedFiltError,
     ZeroConditionalMass,
 )
 from schedfilt.presets import PRESETS, build_preset
@@ -43,6 +44,31 @@ def test_rejects_nonincreasing_schedule():
     bad = dataclasses.replace(_base_config().schedule, times=(0.5, 0.5, 1.0))
     with pytest.raises(NonIncreasingTimes):
         model.validate(_base_config(schedule=bad))
+
+
+# one bad argument per check that used to raise a bare ValueError
+_BAD_ARGUMENTS = {
+    "grid_propagate_negative_dt": lambda s: grid.grid_propagate(grid.init_density(np.linspace(-2.0, 4.0, 101), 1.0), s, -0.1),
+    "particle_propagate_backwards": lambda s: particle.propagate(particle.init_ensemble(s, 10, seed=0), s, -0.5),
+    "gamma_gaussian_negative_variance": lambda s: particle.gamma_gaussian(0.0, -1.0, 0.01, 0.0),
+    "quadrature_order_zero": lambda s: quad.gh_nodes_weights(0),
+    "quadrature_negative_variance": lambda s: quad.gaussian_quad_points(0.0, -1.0, 8),
+    "negative_seed": lambda s: rngs.stream(-1),
+    "kalman_ordering": lambda s: kalman.jump_update(
+        kalman.GaussianBelief(0.0, s.x0, np.zeros((1, 1))), kalman.linear_params_from_scenario(s), 0.0, 0.0, ordering="sideways"
+    ),
+    "descriptor_role": lambda s: functions.validate_descriptor(s.config.model.drift, "nope", 1, 1, np.zeros((3, 1))),
+    "bump_scale": lambda s: testfns.gauss_bump(0.0, 0.0),
+    "clipped_identity_cap": lambda s: testfns.clipped_identity(cap=0.0),
+    "clipped_square_cap": lambda s: testfns.clipped_square(cap=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_typed_errors(case, ou_scenario):
+    with pytest.raises(SchedFiltError) as info:
+        _BAD_ARGUMENTS[case](ou_scenario)
+    assert isinstance(info.value, ValueError)
 
 
 def test_rejects_horizon_before_first_event():
