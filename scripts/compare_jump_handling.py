@@ -20,7 +20,7 @@ import numpy as np
 
 from schedfilt.kalman import linear_params_from_scenario, run_filter
 from schedfilt.presets import build_preset
-from schedfilt.simulate import simulate_path
+from schedfilt.simulate import simulate_batch, simulate_path
 
 
 def main() -> None:
@@ -62,8 +62,7 @@ def main() -> None:
 
     # ensemble RMSE of the terminal estimate, both variants on identical paths
     err_jump, err_nojump = [], []
-    for p in range(args.paths):
-        r = simulate_path(scenario, path_id=p, seed=args.seed)
+    for r in simulate_batch(scenario, range(args.paths), args.seed):
         x_T = float(r.path.x[-1, 0])
         tj = run_filter(scenario, r.events, [scenario.horizon], params=params)
         tn = run_filter(scenario, r.events, [scenario.horizon], params=params_nojump)

@@ -56,25 +56,24 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # formatting and small helpers
 
-def _fmt(value) -> str:
-    """Render one CSV cell; floats at full round-trip precision."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _cells(column) -> list[str]:
+    """One CSV column as text, in one pass: floats at full round-trip
+    precision, integers and strings as they are, None (no value) empty."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    if column.dtype.kind == "O":
+        return ["" if v is None else format(v, ".17g") for v in column.tolist()]
+    return [str(v) for v in column.tolist()]
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, columns) -> None:
+    """Write a CSV file from its columns, all of one length."""
+    cells = [_cells(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells))
 
 
 def _load_scenario(source: str) -> tuple[ValidatedScenario, str]:
@@ -128,22 +127,18 @@ def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: li
 # ---------------------------------------------------------------------------
 # simulate
 
-def _path_rows(result, path_id: int, m: int, n: int):
+def _path_columns(result, path_id: int) -> list:
     path = result.path
-    row_event = {int(k): ev.index for k, ev in zip(path.event_rows, result.events)}
-    for k in range(path.t.shape[0]):
-        idx = row_event.get(k, 0)
-        yield (
-            [path_id, path.t[k]]
-            + [path.x[k, j] for j in range(m)]
-            + [path.y[k, j] for j in range(n)]
-            + [1 if idx else 0, idx]
-        )
+    index = np.zeros(path.t.shape[0], dtype=int)
+    for k, ev in zip(path.event_rows, result.events):
+        index[k] = ev.index  # a row with several events shows the last
+    return [np.full(index.shape, path_id), path.t, *path.x.T, *path.y.T, (index > 0).astype(int), index]
 
 
-def _event_rows(result, path_id: int, n: int):
-    for ev in result.events:
-        yield [path_id, ev.index, ev.time] + [ev.dy[j] for j in range(n)]
+def _event_columns(events, path_id: int, n: int) -> list:
+    dy = np.reshape([ev.dy for ev in events], (len(events), n))
+    index = np.array([ev.index for ev in events], dtype=int)
+    return [np.full(index.shape, path_id), index, np.array([ev.time for ev in events], dtype=float), *dy.T]
 
 
 def cmd_simulate(args) -> int:
@@ -165,10 +160,12 @@ def cmd_simulate(args) -> int:
     )
     event_header = ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)]
 
+    # one simulate_path call a path, the unit perfbench/tracer.py times and
+    # counts steps on; simulate_batch would step them as blocks
     for p in range(args.paths):
         result = simulate_path(scenario, path_id=p, seed=seed)
-        _write_csv(out / f"path_{p:04d}.csv", path_header, _path_rows(result, p, m, n))
-        _write_csv(out / f"events_{p:04d}.csv", event_header, _event_rows(result, p, n))
+        _write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p))
+        _write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n))
         for msg in result.warnings:
             print(f"path {p}: {msg}", file=sys.stderr)
     print(f"wrote {2 * args.paths} files to {out}")
@@ -207,55 +204,39 @@ def _load_events(path: Path, path_id: int, n: int) -> list:
     return events
 
 
-def _kalman_rows(traj, m: int, n: int):
-    """One row per reported time; innovation data sits on the post row."""
-    ev_iter = iter(traj.events)
-    current = None
-    for k in range(traj.times.shape[0]):
-        side = traj.sides[k]
+def _kalman_columns(traj, m: int, n: int) -> list:
+    """Columns of a Kalman trajectory; innovation data sits on the post row."""
+    T = len(traj.sides)
+    index = np.zeros(T, dtype=int)
+    innovation = np.full((T, n + n * n + m * n), None, dtype=object)
+    ev_iter, current = iter(traj.events), None
+    for k, side in enumerate(traj.sides):
         if side == "pre":
             current = next(ev_iter)
-        row = [traj.times[k], side]
-        row += [traj.means[k, i] for i in range(m)]
-        row += [traj.covs[k, i, j] for i in range(m) for j in range(m)]
-        if side == "interior" or current is None:
-            row += [0] + [None] * (n + n * n + m * n)
-        else:
-            row += [current.index]
+        if side != "interior" and current is not None:
+            index[k] = current.index
             if side == "post":
-                row += [current.innovation[i] for i in range(n)]
-                row += [current.innovation_cov[i, j] for i in range(n) for j in range(n)]
-                row += [current.gain[i, j] for i in range(m) for j in range(n)]
+                parts = (current.innovation, current.innovation_cov, current.gain)
+                innovation[k] = np.concatenate([np.ravel(part) for part in parts])
                 current = None
-            else:
-                row += [None] * (n + n * n + m * n)
-        yield row
+    return [traj.times, traj.sides, *traj.means.T, *traj.covs.reshape(T, m * m).T, index, *innovation.T]
 
 
-def _particle_rows(traj, phis: list):
-    for k in range(traj.times.shape[0]):
-        if traj.sides[k] == "pre":
-            continue
-        for name in phis:
-            yield [
-                traj.times[k],
-                name,
-                traj.phi_estimates[name][k],
-                traj.phi_se[name][k],
-                traj.ess[k],
-                traj.log_mass[k],
-            ]
+def _particle_columns(traj, phis: list) -> list:
+    """One row per phi at every reported time but the pre-event ones."""
+    rows = np.array([k for k, side in enumerate(traj.sides) if side != "pre"], dtype=int)
+    ks = np.repeat(rows, len(phis))
+
+    def per_phi(values: dict) -> np.ndarray:
+        return np.stack([values[name] for name in phis], axis=1)[rows].ravel()
+
+    estimates, ses = per_phi(traj.phi_estimates), per_phi(traj.phi_se)
+    return [traj.times[ks], phis * len(rows), estimates, ses, traj.ess[ks], traj.log_mass[ks]]
 
 
-def _grid_rows(traj):
-    for k in range(traj.times.shape[0]):
-        yield [traj.times[k], traj.sides[k], traj.means[k, 0], traj.vars[k, 0]]
-
-
-def _density_rows(traj):
-    for k, p_row in enumerate(traj.densities):
-        for node, p in zip(traj.x, p_row):
-            yield [traj.times[k], traj.sides[k], node, p]
+def _density_columns(traj) -> list:
+    G, T = traj.x.size, len(traj.densities)
+    return [np.repeat(traj.times, G), np.repeat(traj.sides, G), np.tile(traj.x, T), np.ravel(traj.densities)]
 
 
 def _final_by_time(times, sides, values) -> dict:
@@ -294,7 +275,7 @@ def cmd_filter(args) -> int:
     _write_csv(
         out / "events_used.csv",
         ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)],
-        ([args.path_id, ev.index, ev.time] + [ev.dy[j] for j in range(n)] for ev in events),
+        _event_columns(events, args.path_id, n),
     )
 
     reporting = scenario.reporting_times
@@ -315,7 +296,7 @@ def cmd_filter(args) -> int:
                     + [f"S_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                     + [f"K_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
                 )
-                _write_csv(out / file_for[method], header, _kalman_rows(traj, m, n))
+                _write_csv(out / file_for[method], header, _kalman_columns(traj, m, n))
                 columns["kalman_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
                 columns["kalman_P"] = _final_by_time(traj.times, traj.sides, traj.covs[:, 0, 0])
             elif method in ("ks-particle", "zakai-particle"):
@@ -332,16 +313,17 @@ def cmd_filter(args) -> int:
                     phis=phis,
                 )
                 header = ["t", "phi_name", "estimate", "estimate_se", "ess", "log_rho1"]
-                _write_csv(out / file_for[method], header, _particle_rows(traj, [p.name for p in phis]))
+                _write_csv(out / file_for[method], header, _particle_columns(traj, [p.name for p in phis]))
                 key = "ks_m" if mode == "ks" else "zakai_m"
                 columns[key] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
             elif method == "grid":
                 traj = grid_run_filter(
                     scenario, events, reporting, n_nodes=args.nodes, collect_densities=args.dump_density
                 )
-                _write_csv(out / file_for[method], ["t", "side", "mean", "var"], _grid_rows(traj))
+                grid_columns = [traj.times, traj.sides, traj.means[:, 0], traj.vars[:, 0]]
+                _write_csv(out / file_for[method], ["t", "side", "mean", "var"], grid_columns)
                 if args.dump_density:
-                    _write_csv(out / "grid_density.csv", ["t", "side", "node_x", "p"], _density_rows(traj))
+                    _write_csv(out / "grid_density.csv", ["t", "side", "node_x", "p"], _density_columns(traj))
                 columns["grid_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
                 columns["grid_P"] = _final_by_time(traj.times, traj.sides, traj.vars[:, 0])
         except (IncompatibleMethod, UnsupportedScenario) as exc:
@@ -361,7 +343,7 @@ def cmd_filter(args) -> int:
         _write_csv(
             out / "comparison.csv",
             ["t"] + col_names,
-            ([t] + [columns[c].get(t) for c in col_names] for t in times),
+            [times] + [[columns[c].get(t) for t in times] for c in col_names],
         )
 
     print(f"ran {', '.join(ran)} on {len(events)} events; output in {out}")

@@ -223,8 +223,8 @@ def check_ks_residual(
 
     # event residuals along simulated observation paths
     a_terms, nu_terms = [], []
-    for run in range(n_runs):
-        events = simulate.simulate_path(scenario, path_id=run, seed=seed).events
+    for sim in simulate.simulate_batch(scenario, range(n_runs), seed):
+        events = sim.events
         traj = grid.grid_run_filter(
             scenario, events, reporting_times=[], domain=(x_nodes[0], x_nodes[-1]),
             n_nodes=x_nodes.size, collect_densities=True,
@@ -307,8 +307,7 @@ def check_zakai(
 
     if "compensated_drift" in subchecks or "mass_jump" in subchecks:
         drift_vals, jump_rows = [], []
-        for run in range(n_runs):
-            sim = simulate.simulate_path(scenario, path_id=run, seed=seed)
+        for run, sim in enumerate(simulate.simulate_batch(scenario, range(n_runs), seed)):
             events = sim.events
             times = np.array([e.time for e in events])
             dys = np.array([[float(np.asarray(e.dy).reshape(-1)[0]) for e in events]])

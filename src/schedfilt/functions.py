@@ -95,11 +95,11 @@ def compile_drift(desc: Descriptor, m: int) -> Callable[[np.ndarray], np.ndarray
         return lambda x: eval_scalar_expr(desc, np.asarray(x, dtype=float))
     if kind == "linear_matrix":
         mat = _as_matrix(desc["matrix"], m, m)
-        return lambda x: x @ mat.T
+        return lambda x: np.einsum("ij,nj->ni", mat, x)
     if kind == "affine_matrix":
         mat = _as_matrix(desc["matrix"], m, m)
         off = _as_vector(desc["offset"], m)
-        return lambda x: x @ mat.T + off
+        return lambda x: np.einsum("ij,nj->ni", mat, x) + off
     if kind == "constant_vector":
         vec = _as_vector(desc["value"], m)
         return lambda x: np.broadcast_to(vec, x.shape).copy()
@@ -161,7 +161,7 @@ def compile_obs_fn(desc: Descriptor, m: int, n: int) -> Callable[[np.ndarray, np
         def obs_affine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             # y may be one level (n,) shared by all rows or one level per row (N, n)
             y2 = np.atleast_2d(np.asarray(y, dtype=float))
-            return x @ a.T - y2 @ c.T + b
+            return np.einsum("ij,nj->ni", a, x) - np.einsum("ij,nj->ni", c, y2) + b
 
         return obs_affine
     if kind == "state_expr_minus_y":

@@ -9,14 +9,16 @@ time grid exactly so that jumps are applied at the scheduled instant:
 Observations are therefore always of the pre-jump state.  Diffusion
 increments and marks come from separate per-path streams, so refining dt
 leaves the realized marks unchanged.  One engine, `_euler`, steps a block
-of paths and holds the threshold trigger; `simulate_path` runs it on one
-path and `run_ensemble` on chunks of many.
+of paths and holds the threshold trigger; `simulate_batch` runs it on
+blocks of whole paths (`simulate_path` is the one-path case) and
+`run_ensemble` on chunks of many, keeping only checkpoints.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -36,10 +38,14 @@ __all__ = [
     "EnsembleResult",
     "build_time_grid",
     "simulate_path",
+    "simulate_batch",
     "run_ensemble",
 ]
 
 _MERGE_TOL = 1e-9
+# Paths a simulate_batch block steps together: about 1 MB per (2001, P, m)
+# array for a scalar model of 2,000 steps.
+BLOCK_PATHS = 64
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,43 @@ def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | Non
     Reproducible: the same (scenario, path_id, seed) give the same result
     bit for bit.  `seed` defaults to the scenario seed.
     """
+    return next(_blocks(scenario, [path_id], seed, _scheduled_times(scenario)))
+
+
+def simulate_batch(scenario: ValidatedScenario, path_ids, seed: int | None = None) -> Iterator[SimulationResult]:
+    """Simulate the paths `path_ids`, yielding one result per path.
+
+    The paths run as Euler blocks of at most `BLOCK_PATHS`, so a caller
+    that drops each result in turn holds one block at a time.  Each path
+    draws from its own streams, so its result equals
+    `simulate_path(scenario, path_id, seed)` bit for bit whatever the
+    block.  `seed` defaults to the scenario seed.
+    """
+    return _blocks(scenario, list(path_ids), seed, _scheduled_times(scenario))
+
+
+def _blocks(scenario: ValidatedScenario, path_ids: list, seed, scheduled) -> Iterator[SimulationResult]:
+    # `scheduled` is _scheduled_times' result, taken in the public entry
+    # point so that its warning names the caller's line
     seed = scenario.seed if seed is None else seed
-    special, warn_list = _scheduled_times(scenario)
+    special, warn_list = scheduled
     t = build_time_grid(scenario.horizon, scenario.dt, special)
-    draws = _draws(scenario, seed, [path_id], len(t) - 1, scenario.schedule.n_events)
-    x, y, _, fired = _euler(scenario, t, draws, _grid_rows(t, special, "event time"), range(len(t)))
-    events = [
-        ObservationEvent(j + 1, float(t[k]), *(a[0] for a in arrays), threshold_label=label)
-        for j, (k, label, *arrays) in enumerate(fired)
-    ]
-    path = SignalPath(t=t, x=x[:, 0], y=y[:, 0], event_rows=np.asarray([e[0] for e in fired], dtype=int))
-    return SimulationResult(path=path, events=events, warnings=warn_list)
+    event_rows = _grid_rows(t, special, "event time")
+    for lo in range(0, len(path_ids), BLOCK_PATHS):
+        ids = path_ids[lo : lo + BLOCK_PATHS]
+        P = len(ids)
+        draws = _draws(scenario, seed, ids, len(t) - 1, scenario.schedule.n_events)
+        x, y, _, fired = _euler(scenario, t, draws, event_rows, range(len(t)))
+        events: list[list[ObservationEvent]] = [[] for _ in range(P)]
+        rows: list[list[int]] = [[] for _ in range(P)]
+        for k, label, paths, *arrays in fired:
+            for r, j in enumerate(paths.tolist()):
+                event = ObservationEvent(len(events[j]) + 1, float(t[k]), *(a[r] for a in arrays), threshold_label=label)
+                events[j].append(event)
+                rows[j].append(k)
+        for j in range(P):
+            path = SignalPath(t, x[:, j], y[:, j], np.asarray(rows[j], dtype=int))
+            yield SimulationResult(path, events[j], list(warn_list))
 
 
 def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
@@ -164,7 +196,8 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     fall, so a path's labels fire in the order 0, 1, ..., and label i takes
     the path's i-th mark.  Returns x (S, P, m), y (S, P, n) and the
     trapezoid integrals (S, P, G) at `snap_rows`, and per event the tuple
-    (row, label, dy, y_pre, x_pre, xi, eta) over the paths it fired on.
+    (row, label, paths, dy, y_pre, x_pre, xi, eta), with `paths` the block
+    rows it fired on and the arrays over those rows.
     """
     z, xi_all, eta_all = draws
     P, n_steps, m = z.shape
@@ -202,7 +235,7 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
                 dy = scenario.obs_fn(x_pre, y_pre) + eta
                 y[paths] = y_pre + dy
                 x[paths] = x_pre + np.einsum("pij,pj->pi", scenario.jump_coeff(x_pre), xi)
-                fired.append((k, label, dy, y_pre, x_pre, xi, eta))
+                fired.append((k, label, np.arange(P)[paths], dy, y_pre, x_pre, xi, eta))
             if G and firing:
                 g_prev = _eval_integrands(integrands, x)
         for s in snaps.get(k, ()):
@@ -211,7 +244,7 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
                 int_out[s] = acc
         if k < n_steps:
             x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, z[:, k]) * sqrt_hs[k]
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
             if G:
                 g_now = _eval_integrands(integrands, x)
@@ -250,9 +283,7 @@ def run_ensemble(
     """Simulate many paths at once, keeping per-path reproducibility.
 
     Path p uses the same noise streams as `simulate_path(scenario, p)`, so
-    ensemble trajectories agree with single-path runs: bit for bit for a
-    scalar state (m = 1), to round-off for m >= 2, where a matrix product
-    over P rows can round differently from the one-row product.  Only
+    ensemble trajectories agree with single-path runs bit for bit.  Only
     deterministic schedules are supported here; integrands g are (N, m) ->
     (N,) maps accumulated as trapezoid integrals of g(X_s) ds with the
     pre-jump value closing the segment that ends at an event.
@@ -288,7 +319,7 @@ def run_ensemble(
         del draws  # free the (P, steps, m) normals before the next chunk draws its own
         out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x.swapaxes(0, 1), integrals.swapaxes(0, 1)
         for i, event in enumerate(fired):
-            for name, value in zip(dims, event[2:]):
+            for name, value in zip(dims, event[3:]):
                 getattr(out, name)[lo:hi, i] = value
     return out
 

@@ -1,7 +1,8 @@
 """Command-line contract: file layouts, exit codes, and reproducibility.
 
-Everything runs through subprocess so the argv recorded in the manifest
-matches what a shell user would produce.
+The tests run the CLI through subprocess so the argv recorded in the
+manifest matches what a shell user would produce; the CSV read-back test
+calls `cli.main` in process to compare with `simulate_path` directly.
 """
 
 import csv
@@ -11,7 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from schedfilt import cli, model
+from schedfilt.presets import build_preset
+from schedfilt.simulate import simulate_path
 
 CLI = [sys.executable, "-m", "schedfilt.cli"]
 
@@ -48,6 +54,65 @@ def test_simulate_layout_and_headers(tmp_path, run_cli):
     assert first_line(out / "events_0000.csv") == "path_id,i,T_i,dY_1"
     assert manifest["subcommand"] == "simulate"
     assert manifest["created_unix"] == 1700000000
+
+
+def _read_columns(path: Path) -> dict:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: np.array([float(row[j]) for row in rows]) for j, name in enumerate(header)}
+
+
+@pytest.mark.parametrize(
+    "source, n_paths",
+    [
+        ("ou_kalman", 3),
+        ("credit_risk", 3),
+        ("njode_style", 3),
+        ("medical", 3),
+        ("medical_firing", 4),
+        ("m2_constant_matrix", 3),
+    ],
+)
+def test_simulate_csv_reads_back_as_simulate_path(
+    tmp_path, capsys, euler_scenarios, medical_firing_scenario, source, n_paths
+):
+    # in process: the files, read back, hold simulate_path's numbers exactly
+    if source in ("medical_firing", "m2_constant_matrix"):
+        scn = medical_firing_scenario if source == "medical_firing" else euler_scenarios[source]
+        arg = tmp_path / f"{source}.json"
+        arg.write_text(model.scenario_to_json(scn.config), encoding="utf-8")
+    else:
+        scn, arg = build_preset(source), source
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(arg), "--paths", str(n_paths), "--seed", "11", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for p in range(n_paths):
+        res = simulate_path(scn, p, seed=11)
+        path = _read_columns(out / f"path_{p:04d}.csv")
+        events = _read_columns(out / f"events_{p:04d}.csv")
+        index = np.zeros(len(res.path.t))
+        for k, ev in zip(res.path.event_rows, res.events):
+            index[k] = ev.index
+        expected_path = {
+            "path_id": np.full(len(res.path.t), p),
+            "t": res.path.t,
+            **{f"x_{j + 1}": res.path.x[:, j] for j in range(scn.m)},
+            **{f"y_{j + 1}": res.path.y[:, j] for j in range(scn.n)},
+            "is_jump_time": index > 0,
+            "event_index": index,
+        }
+        expected_events = {
+            "path_id": np.full(len(res.events), p),
+            "i": [ev.index for ev in res.events],
+            "T_i": [ev.time for ev in res.events],
+            **{f"dY_{j + 1}": [ev.dy[j] for ev in res.events] for j in range(scn.n)},
+        }
+        for got, expected in ((path, expected_path), (events, expected_events)):
+            assert list(got) == list(expected)
+            for name, values in expected.items():
+                np.testing.assert_array_equal(got[name], np.asarray(values, dtype=float), err_msg=f"{source} path {p} {name}")
+    if source == "medical_firing":
+        assert sum(len(_read_columns(out / f"events_{p:04d}.csv")["i"]) for p in range(n_paths)) > 0
 
 
 def test_manifest_hash_same_for_preset_and_file(tmp_path, run_cli):

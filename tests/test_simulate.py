@@ -218,20 +218,49 @@ def test_scheduled_time_beyond_horizon_warns():
     cfg = PRESETS["ou_kalman"]()
     sched = dataclasses.replace(cfg.schedule, times=(0.5, 1.0, 1.5, 5.0))
     scn = model.validate(dataclasses.replace(cfg, schedule=sched))
-    with pytest.warns(ScheduleExhaustedHorizon):
+    with pytest.warns(ScheduleExhaustedHorizon) as record:
         res = simulate.simulate_path(scn, path_id=0)
     assert len(res.events) == 3
     assert res.warnings
+    # the warning names the caller's line, for one path and for a batch
+    assert record[0].filename == __file__
+    with pytest.warns(ScheduleExhaustedHorizon) as record:
+        batch = list(simulate.simulate_batch(scn, range(3)))
+    assert record[0].filename == __file__
+    assert [len(r.events) for r in batch] == [3, 3, 3] and all(r.warnings for r in batch)
 
 
 # ---------------------------------------------------------------------------
 # ensembles
 
-def test_ensemble_matches_per_path_simulation():
-    # bit for bit on the scalar presets with fixed times (run_ensemble's
-    # docstring promises equality only to round-off for m >= 2)
-    for name in ("ou_kalman", "credit_risk", "njode_style"):
-        scn = build_preset(name)
+def test_batch_equals_single_paths(euler_scenarios, medical_firing_scenario, monkeypatch):
+    # a path's numbers do not depend on the block it runs in; for m >= 2
+    # the linear drift and observation maps must contract each row alone.
+    # Blocks of 5 paths put block boundaries inside every batch.
+    monkeypatch.setattr(simulate, "BLOCK_PATHS", 5)
+    scenarios = {**euler_scenarios, "medical_firing": medical_firing_scenario}
+    for name, scn in scenarios.items():
+        n_paths = 24 if scn.m > 1 else 12
+        batch = list(simulate.simulate_batch(scn, range(n_paths), seed=7))
+        assert len(batch) == n_paths
+        for p, res in enumerate(batch):
+            one = simulate.simulate_path(scn, p, seed=7)
+            where = f"{name} path {p}"
+            for a, b in ((res.path.x, one.path.x), (res.path.y, one.path.y), (res.path.event_rows, one.path.event_rows)):
+                np.testing.assert_array_equal(a, b, err_msg=where)
+            assert [(e.index, e.time, e.threshold_label) for e in res.events] == [
+                (e.index, e.time, e.threshold_label) for e in one.events
+            ], where
+            for field in ("dy", "y_pre", "x_pre", "xi", "eta"):
+                np.testing.assert_array_equal(
+                    [getattr(e, field) for e in res.events], [getattr(e, field) for e in one.events], err_msg=where
+                )
+
+
+def test_ensemble_matches_per_path_simulation(euler_scenarios):
+    # bit for bit with fixed times, for a scalar and a coupled 2-D state
+    for name in ("ou_kalman", "credit_risk", "njode_style", "m2_constant_matrix", "m2_diagonal_linear"):
+        scn = euler_scenarios[name]
         checkpoints = [0.4, scn.horizon]
         ens = simulate.run_ensemble(scn, 8, checkpoint_times=checkpoints)
         for p in range(8):
