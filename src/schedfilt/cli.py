@@ -91,7 +91,7 @@ def _load_scenario(source: str) -> tuple[ValidatedScenario, str]:
             raise CliError(2, f"scenario {source!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
         try:
             scenario = validate(scenario_from_json(path.read_text(encoding="utf-8")))
-        except (ValidationError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # ValidationError and JSONDecodeError among them
             raise CliError(2, f"could not load scenario from {source}: {exc}") from exc
     return scenario, scenario_to_json(scenario.config)
 

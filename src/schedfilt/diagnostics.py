@@ -202,7 +202,7 @@ def check_ks_residual(
     # Measured over the whole battery and scored on the function with the
     # largest half-step remainder: a phi whose second-order coefficient
     # nearly vanishes at this t0 cannot measure the order.
-    first_event = _first_possible_event(scenario)
+    first_event = float(next(iter(scenario.schedule.candidate_times), scenario.horizon))
     t0 = min(0.2, 0.4 * first_event)
     t0 = max(scenario.dt, round(t0 / scenario.dt) * scenario.dt)
     dens0 = grid.init_density(x_nodes, float(scenario.x0[0]))
@@ -257,13 +257,6 @@ def check_ks_residual(
             "tol": float(tol),
         },
     )
-
-
-def _first_possible_event(scenario: ValidatedScenario) -> float:
-    sched = scenario.schedule
-    if sched.kind == "deterministic":
-        return float(sched.times[0]) if sched.times else scenario.horizon
-    return float(sched.obs_grid[0]) if sched.obs_grid else scenario.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,7 @@ def check_compensator(
         seed = scenario.seed
     variance_scale = 2.0 if negative_control else 1.0
     params = linear_params_from_scenario(scenario)  # raises IncompatibleMethod
-    sched = scenario.schedule
-    t1 = sched.times[0] if sched.kind == "deterministic" and sched.times else np.inf
+    t1 = next(iter(scenario.schedule.candidate_times), np.inf)  # run_ensemble rejects threshold schedules
     weights = {  # predictable weights W(t, y): constants, moments, one time window
         "one": lambda t, y: np.ones_like(y),
         "y": lambda t, y: y,

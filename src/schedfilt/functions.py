@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import UnknownFunctionDescriptor, ValidationError
+from .errors import UnknownFunctionDescriptor
 
 __all__ = [
     "eval_scalar_expr",
@@ -48,7 +48,6 @@ __all__ = [
     "compile_obs_fn",
     "affine_coefficients",
     "obs_affine_coefficients",
-    "validate_descriptor",
 ]
 
 Descriptor = dict[str, Any]
@@ -131,8 +130,9 @@ def compile_matrix_fn(desc: Descriptor, m: int) -> Callable[[np.ndarray], np.nda
     raise UnknownFunctionDescriptor(f"unknown matrix descriptor kind for m={m}: {kind!r}")
 
 
-def compile_diffusion_apply(desc: Descriptor, m: int) -> Callable[..., np.ndarray]:
-    """Compile a diffusion descriptor to (x (N, m), z (N, m), out=None) -> B(x) z.
+def compile_diffusion_apply(desc: Descriptor, m: int, matrix_fn: Callable) -> Callable[..., np.ndarray]:
+    """Compile a diffusion descriptor, whose compile_matrix_fn is `matrix_fn`,
+    to (x (N, m), z (N, m), out=None) -> B(x) z.
 
     The product is the one `einsum("nij,nj->ni", B(x), z)` gives, bit for
     bit: a scalar descriptor (m = 1) is one multiplication with no (N, 1, 1)
@@ -146,7 +146,6 @@ def compile_diffusion_apply(desc: Descriptor, m: int) -> Callable[..., np.ndarra
         return lambda x, z, out=None: np.multiply(b, z, out=out)
     if m == 1 and kind in _SCALAR_KINDS:
         return lambda x, z, out=None: np.multiply(eval_scalar_expr(desc, np.asarray(x, dtype=float)), z, out=out)
-    matrix_fn = compile_matrix_fn(desc, m)
     return lambda x, z, out=None: np.einsum("nij,nj->ni", matrix_fn(x), z, out=out)
 
 
@@ -223,27 +222,6 @@ def obs_affine_coefficients(desc: Descriptor) -> tuple[float, float, float]:
         slope, intercept = affine_coefficients(desc["expr"])
         return slope, float(desc.get("c", 0.0)), intercept
     raise UnknownFunctionDescriptor(f"observation map is not scalar affine: {kind!r}")
-
-
-def validate_descriptor(desc: Descriptor, role: str, m: int, n: int, probe: np.ndarray) -> None:
-    """Compile a descriptor and check it evaluates finitely on probe states."""
-    if role == "drift":
-        vals = compile_drift(desc, m)(probe)
-        expected = probe.shape
-    elif role in {"diffusion", "jump_coeff"}:
-        vals = compile_matrix_fn(desc, m)(probe)
-        expected = probe.shape[:-1] + (m, m)
-    elif role == "obs":
-        vals = compile_obs_fn(desc, m, n)(probe, np.zeros(n))
-        expected = probe.shape[:-1] + (n,)
-    else:
-        raise ValidationError(f"unknown descriptor role: {role!r}")
-    if vals.shape != expected:
-        raise UnknownFunctionDescriptor(
-            f"{role} descriptor produced shape {vals.shape}, expected {expected}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise UnknownFunctionDescriptor(f"{role} descriptor produced non-finite values on probe grid")
 
 
 def _as_matrix(value: Any, rows: int, cols: int) -> np.ndarray:

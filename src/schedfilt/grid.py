@@ -124,9 +124,7 @@ def estimate_domain(
     rng = rngs.stream(scenario.seed, rngs.PILOT)
     horizon = scenario.horizon
     dt = max(scenario.dt, horizon / max_steps)
-    schedule = scenario.schedule
-    candidate = schedule.times if schedule.kind == "deterministic" else schedule.obs_grid
-    candidate = sorted(t for t in candidate if t <= horizon + 1e-12)
+    candidate = [t for t in scenario.schedule.candidate_times if t <= horizon + 1e-12]
 
     x = np.full(n_pilot, float(scenario.x0[0]))
     lo = hi = float(scenario.x0[0])

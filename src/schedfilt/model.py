@@ -13,6 +13,13 @@ the joint mark law of (xi_i, eta_i), and the event schedule (deterministic
 times or a threshold rule on the observed Y).  Everything is built from
 serializable pieces so scenario files round-trip exactly.
 
+Serialization reads the dataclass fields.  `scenario_to_dict` is
+`dataclasses.asdict` as JSON data, less the mark-law fields the kind
+leaves unset and the schedule fields of the other kind.
+`scenario_from_dict` reads each field by its annotation and ignores
+unknown keys, except in `filters`; a missing or unreadable field raises
+ValidationError.
+
 Mark laws come in two families.  `GaussianMarks` is (xi, eta) jointly
 Gaussian with blocks Sxx, Sxe, See, so xi | eta = N(gain eta, cond_cov):
 the "gaussian_joint" kind, with "gaussian_product" (Sxe = 0) and
@@ -24,7 +31,8 @@ within match_tol of it.  `mark_law` builds either from a `JumpLawSpec`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -35,6 +43,7 @@ from .errors import (
     NegativeDt,
     NonIncreasingTimes,
     NonPSDCovariance,
+    UnknownFunctionDescriptor,
     ValidationError,
     ZeroConditionalMass,
 )
@@ -242,6 +251,12 @@ class Schedule:
     obs_grid: tuple = ()
 
     @property
+    def candidate_times(self) -> tuple:
+        """The times an event may fire at: the fixed times, or the
+        observation grid of a threshold schedule."""
+        return self.times if self.kind == "deterministic" else self.obs_grid
+
+    @property
     def n_events(self) -> int:
         if self.kind == "deterministic":
             return len(self.times)
@@ -373,27 +388,44 @@ def validate(config: ScenarioConfig) -> ValidatedScenario:
 
     law = mark_law(model.jump_law, m, n)
 
-    probe = _probe_states(x0, m)
-    for role, desc in [
-        ("drift", model.drift),
-        ("diffusion", model.diffusion),
-        ("jump_coeff", model.jump_coeff),
-        ("obs", model.obs_fn),
-    ]:
-        functions.validate_descriptor(desc, role, m, n, probe)
-
+    offsets = np.array([[-2.0], [-0.5], [0.0], [0.5], [2.0]])
+    probe = x0 * (1.0 + 0.1 * offsets) + offsets  # (5, m) states around x0
+    matrix_shape = probe.shape[:-1] + (m, m)
+    drift = _compile_checked("drift", functions.compile_drift, (model.drift, m), (probe,), probe.shape)
+    diffusion = _compile_checked("diffusion", functions.compile_matrix_fn, (model.diffusion, m), (probe,), matrix_shape)
+    jump_coeff = _compile_checked("jump_coeff", functions.compile_matrix_fn, (model.jump_coeff, m), (probe,), matrix_shape)
+    obs_fn = _compile_checked(
+        "obs", functions.compile_obs_fn, (model.obs_fn, m, n), (probe, np.zeros(n)), probe.shape[:-1] + (n,)
+    )
     return ValidatedScenario(
         config=config,
         m=m,
         n=n,
         x0=x0,
-        drift=functions.compile_drift(model.drift, m),
-        diffusion_apply=functions.compile_diffusion_apply(model.diffusion, m),
-        diffusion=functions.compile_matrix_fn(model.diffusion, m),
-        jump_coeff=functions.compile_matrix_fn(model.jump_coeff, m),
-        obs_fn=functions.compile_obs_fn(model.obs_fn, m, n),
+        drift=drift,
+        diffusion_apply=functions.compile_diffusion_apply(model.diffusion, m, diffusion),
+        diffusion=diffusion,
+        jump_coeff=jump_coeff,
+        obs_fn=obs_fn,
         jump_law=law,
     )
+
+
+def _compile_checked(role: str, compile_fn, args: tuple, probe_args: tuple, expected: tuple):
+    """compile_fn(*args), checked to give finite values of shape `expected`
+    on probe_args; a malformed descriptor raises UnknownFunctionDescriptor."""
+    try:
+        fn = compile_fn(*args)
+        vals = fn(*probe_args)
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UnknownFunctionDescriptor(f"malformed {role} descriptor: {exc!r}") from exc
+    if vals.shape != expected:
+        raise UnknownFunctionDescriptor(f"{role} descriptor produced shape {vals.shape}, expected {expected}")
+    if not np.all(np.isfinite(vals)):
+        raise UnknownFunctionDescriptor(f"{role} descriptor produced non-finite values on probe grid")
+    return fn
 
 
 def _validate_schedule(schedule: Schedule, horizon: float) -> None:
@@ -437,12 +469,6 @@ def _validate_filter_settings(fs: FilterSettings) -> None:
         raise ValidationError("quadrature orders below the supported minimum")
 
 
-def _probe_states(x0: np.ndarray, m: int) -> np.ndarray:
-    offsets = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    probe = x0[None, :] * (1.0 + 0.1 * offsets[:, None]) + offsets[:, None]
-    return probe.reshape(-1, m)
-
-
 # ---------------------------------------------------------------------------
 # the event/reporting walk shared by every filter
 
@@ -481,93 +507,20 @@ def walk_events(events, reporting_times, advance, update, emit) -> None:
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    model = config.model
-    law = model.jump_law
-    law_dict: dict[str, Any] = {"kind": law.kind}
-    for fname in ("q", "r", "cov", "points", "probs"):
-        value = getattr(law, fname)
-        if value is not None:
-            law_dict[fname] = _nested_list(value)
-    if law.kind == "discrete":
-        law_dict["match_tol"] = law.match_tol
-    sched = config.schedule
-    sched_dict: dict[str, Any] = {"kind": sched.kind}
-    if sched.kind == "deterministic":
-        sched_dict["times"] = list(sched.times)
-    else:
-        sched_dict["thresholds"] = list(sched.thresholds)
-        sched_dict["obs_grid"] = list(sched.obs_grid)
-    fs = config.filters
-    return {
-        "preset": config.preset,
-        "model": {
-            "m": model.m,
-            "n": model.n,
-            "x0": list(model.x0),
-            "drift": model.drift,
-            "diffusion": model.diffusion,
-            "jump_coeff": model.jump_coeff,
-            "obs_fn": model.obs_fn,
-            "jump_law": law_dict,
-        },
-        "schedule": sched_dict,
-        "horizon": config.horizon,
-        "dt": config.dt,
-        "seed": config.seed,
-        "filters": {
-            "n_particles": fs.n_particles,
-            "resample_threshold": fs.resample_threshold,
-            "grid_nodes": fs.grid_nodes,
-            "grid_halfwidth_sds": fs.grid_halfwidth_sds,
-            "reporting_dt": fs.reporting_dt,
-            "quad_order_jump": fs.quad_order_jump,
-            "quad_order_event": fs.quad_order_event,
-        },
+    data = json.loads(json.dumps(asdict(config)))  # tuples as lists
+    law, sched = data["model"]["jump_law"], data["schedule"]
+    data["model"]["jump_law"] = {
+        k: v for k, v in law.items() if v is not None and (k != "match_tol" or law["kind"] == "discrete")
     }
+    for key in ("thresholds", "obs_grid") if sched["kind"] == "deterministic" else ("times",):
+        del sched[key]
+    return data
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     try:
-        mdl = data["model"]
-        law_data = dict(mdl["jump_law"])
-        kind = law_data.pop("kind")
-        law = JumpLawSpec(
-            kind=kind,
-            q=_nested_tuple(law_data.get("q")),
-            r=_nested_tuple(law_data.get("r")),
-            cov=_nested_tuple(law_data.get("cov")),
-            points=_nested_tuple(law_data.get("points")),
-            probs=_nested_tuple(law_data.get("probs")),
-            match_tol=law_data.get("match_tol", 1e-9),
-        )
-        model = ModelSpec(
-            m=int(mdl["m"]),
-            n=int(mdl["n"]),
-            x0=tuple(mdl["x0"]),
-            drift=mdl["drift"],
-            diffusion=mdl["diffusion"],
-            jump_coeff=mdl["jump_coeff"],
-            obs_fn=mdl["obs_fn"],
-            jump_law=law,
-        )
-        sched_data = data["schedule"]
-        schedule = Schedule(
-            kind=sched_data["kind"],
-            times=tuple(sched_data.get("times", ())),
-            thresholds=tuple(sched_data.get("thresholds", ())),
-            obs_grid=tuple(sched_data.get("obs_grid", ())),
-        )
-        filters = FilterSettings(**data.get("filters", {}))
-        return ScenarioConfig(
-            model=model,
-            schedule=schedule,
-            horizon=float(data["horizon"]),
-            dt=float(data["dt"]),
-            seed=int(data["seed"]),
-            filters=filters,
-            preset=data.get("preset", "custom"),
-        )
-    except (KeyError, TypeError) as exc:
+        return _from_fields(ScenarioConfig, data)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scenario dictionary: {exc}") from exc
 
 
@@ -579,16 +532,34 @@ def scenario_from_json(text: str) -> ScenarioConfig:
     return scenario_from_dict(json.loads(text))
 
 
-def _nested_list(value: Any):
-    if isinstance(value, tuple):
-        return [_nested_list(v) for v in value]
-    return value
+def _from_fields(cls, data: dict):
+    """The dataclass `cls` from `data`, each field read by its annotation."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            read = _READERS.get(f.type)
+            kwargs[f.name] = data[f.name] if read is None else read(data[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
 
 
 def _nested_tuple(value: Any):
     if isinstance(value, list):
         return tuple(_nested_tuple(v) for v in value)
     return value
+
+
+# field annotation (a string, under `from __future__ import annotations`) ->
+# reader of its JSON value; fields of other types are taken as they are
+_READERS: dict[str, Callable[[Any], Any]] = {
+    "int": int,
+    "float": float,
+    "tuple": lambda v: tuple(map(_nested_tuple, v)),
+    "tuple | None": _nested_tuple,
+    **{cls.__name__: partial(_from_fields, cls) for cls in (JumpLawSpec, Schedule, ModelSpec)},
+    "FilterSettings": lambda d: FilterSettings(**d),  # strict: a misspelt knob must not fall back to its default
+}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,6 @@ __all__ = [
 
 def stream(seed: int, *labels: int) -> np.random.Generator:
     """Return the generator for `seed` qualified by integer stream labels."""
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    if seed < 0 or any(label < 0 for label in labels):
+        raise ValidationError("seed and stream labels (path ids among them) must be nonnegative integers")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, labels)]))

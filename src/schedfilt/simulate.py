@@ -96,20 +96,17 @@ def build_time_grid(horizon: float, dt: float, special_times=()) -> np.ndarray:
 
 
 def _scheduled_times(scenario: ValidatedScenario) -> tuple[list[float], list[str]]:
-    """Deterministic event times within the horizon, plus drop warnings."""
-    sched = scenario.schedule
+    """Candidate event times within the horizon, plus drop warnings."""
+    kept: list[float] = []
     warnings_list: list[str] = []
-    if sched.kind == "deterministic":
-        kept = []
-        for i, s in enumerate(sched.times):
-            if s > scenario.horizon + _MERGE_TOL:
-                msg = f"scheduled time T_{i + 1} = {s} beyond horizon {scenario.horizon}; dropped"
-                warnings_list.append(msg)
-                warnings.warn(msg, ScheduleExhaustedHorizon, stacklevel=3)
-            else:
-                kept.append(float(s))
-        return kept, warnings_list
-    return [float(s) for s in sched.obs_grid], warnings_list
+    for i, s in enumerate(scenario.schedule.candidate_times):
+        if s > scenario.horizon + _MERGE_TOL:
+            msg = f"scheduled time T_{i + 1} = {s} beyond horizon {scenario.horizon}; dropped"
+            warnings_list.append(msg)
+            warnings.warn(msg, ScheduleExhaustedHorizon, stacklevel=3)
+        else:
+            kept.append(float(s))
+    return kept, warnings_list
 
 
 def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | None = None) -> SimulationResult:

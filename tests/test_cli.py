@@ -264,6 +264,13 @@ def test_counts_below_one_exit_2(tmp_path, run_cli, args):
     assert not (tmp_path / "x").exists()
 
 
+def test_negative_path_id_exit_2(tmp_path, run_cli):
+    proc = run_cli(["filter", "ou_kalman", "--path-id", "-1", "--out", str(tmp_path / "x")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nonnegative" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -320,6 +327,17 @@ def test_unknown_scenario_exits_2(tmp_path, run_cli):
     bad.write_text("{not json")
     proc2 = run_cli(["simulate", str(bad), "--out", str(tmp_path / "y")], tmp_path)
     assert proc2.returncode == 2, proc2.stderr
+
+
+def test_malformed_descriptor_file_exits_2(tmp_path, run_cli):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg["model"]["drift"] = {"kind": "sum", "children": 5}
+    path = tmp_path / "bad_drift.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["simulate", str(path), "--out", str(tmp_path / "x")], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "drift" in proc.stderr
 
 
 def test_diagnose_pass_and_negative_control(tmp_path, run_cli):

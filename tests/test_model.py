@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedfilt import functions, grid, kalman, model, particle, quad, rngs, testfns
+from schedfilt import grid, kalman, model, particle, quad, rngs, testfns
 from schedfilt.errors import (
     HorizonTooShort,
     NegativeDt,
     NonIncreasingTimes,
     NonPSDCovariance,
     SchedFiltError,
+    UnknownFunctionDescriptor,
+    ValidationError,
     ZeroConditionalMass,
 )
 from schedfilt.presets import PRESETS, build_preset
@@ -54,10 +56,10 @@ _BAD_ARGUMENTS = {
     "quadrature_order_zero": lambda s: quad.gh_nodes_weights(0),
     "quadrature_negative_variance": lambda s: quad.gaussian_quad_points(0.0, -1.0, 8),
     "negative_seed": lambda s: rngs.stream(-1),
+    "negative_stream_label": lambda s: rngs.stream(0, rngs.PATH_DIFFUSION, -1),
     "kalman_ordering": lambda s: kalman.jump_update(
         kalman.GaussianBelief(0.0, s.x0, np.zeros((1, 1))), kalman.linear_params_from_scenario(s), 0.0, 0.0, ordering="sideways"
     ),
-    "descriptor_role": lambda s: functions.validate_descriptor(s.config.model.drift, "nope", 1, 1, np.zeros((3, 1))),
     "bump_scale": lambda s: testfns.gauss_bump(0.0, 0.0),
     "clipped_identity_cap": lambda s: testfns.clipped_identity(cap=0.0),
     "clipped_square_cap": lambda s: testfns.clipped_square(cap=0.0),
@@ -69,6 +71,38 @@ def test_bad_arguments_raise_typed_errors(case, ou_scenario):
     with pytest.raises(SchedFiltError) as info:
         _BAD_ARGUMENTS[case](ou_scenario)
     assert isinstance(info.value, ValueError)
+
+
+def _set(data: dict, path: str, value) -> dict:
+    """`data` with the entry at the dotted `path` replaced by `value`."""
+    *parents, key = path.split(".")
+    node = data
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    return data
+
+
+# malformed scenario entries, each with the typed error it raises in place of
+# a bare KeyError, TypeError or ValueError
+_MALFORMED_ENTRIES = {
+    "sum_children_not_a_list": ("model.drift", {"kind": "sum", "children": 5}, UnknownFunctionDescriptor),
+    "const_without_value": ("model.diffusion", {"kind": "const"}, UnknownFunctionDescriptor),
+    "affine_slope_not_a_number": ("model.drift", {"kind": "affine", "slope": "a", "intercept": 0.0}, UnknownFunctionDescriptor),
+    "m_not_an_integer": ("model.m", "a", ValidationError),
+    "horizon_not_a_number": ("horizon", "abc", ValidationError),
+    "misspelt_filter_setting": ("filters.n_particle", 5, ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ENTRIES))
+def test_malformed_scenario_raises_validation_error(case):
+    path, value, error = _MALFORMED_ENTRIES[case]
+    data = _set(model.scenario_to_dict(_base_config()), path, value)
+    with pytest.raises(error) as info:
+        model.validate(model.scenario_from_dict(data))
+    if error is UnknownFunctionDescriptor:  # the message names the coefficient
+        assert path.split(".")[1] in str(info.value)
 
 
 def test_rejects_horizon_before_first_event():
@@ -206,6 +240,7 @@ def test_shipped_config_equals_preset(name):
     cfg = model.scenario_from_json(text)
     assert cfg == PRESETS[name]()
     assert model.scenario_to_dict(cfg) == json.loads(text)
+    assert text == model.scenario_to_json(cfg) + "\n"
 
 
 def test_json_full_precision():
@@ -221,15 +256,42 @@ def test_json_is_plain_data():
     assert set(data) == {"model", "schedule", "horizon", "dt", "seed", "filters", "preset"}
 
 
+_LAWS = {
+    "gaussian_product": lambda v: model.JumpLawSpec(kind="gaussian_product", q=((v[0],),), r=((v[1],),)),
+    "gaussian_joint": lambda v: model.JumpLawSpec(kind="gaussian_joint", cov=((v[0], 0.0), (0.0, v[1]))),
+    "discrete": lambda v: model.JumpLawSpec(kind="discrete", points=((v[0], v[1]), (-v[0], 0.0)), probs=(0.5, 0.5), match_tol=v[2]),
+    "degenerate_xi_zero": lambda v: model.JumpLawSpec(kind="degenerate_xi_zero", r=((v[1],),)),
+}
+_SCHEDULES = {
+    "deterministic": lambda ts: model.Schedule(kind="deterministic", times=ts),
+    "threshold": lambda ts: model.Schedule(kind="threshold", thresholds=(1.0, -1.0), obs_grid=ts),
+}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     dt=st.floats(1e-4, 0.01, allow_nan=False),
-    q=st.floats(1e-4, 1.0),
-    r=st.floats(1e-4, 1.0),
+    law_kind=st.sampled_from(sorted(_LAWS)),
+    law_values=st.tuples(st.floats(1e-4, 1.0), st.floats(1e-4, 1.0), st.floats(1e-12, 1e-3)),
+    schedule_kind=st.sampled_from(sorted(_SCHEDULES)),
+    times=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5, unique=True).map(lambda ts: tuple(sorted(ts))),
+    filters=st.builds(
+        model.FilterSettings,
+        n_particles=st.integers(2, 10**6),
+        resample_threshold=st.floats(0.0, 1.0),
+        grid_nodes=st.integers(16, 10**4),
+        grid_halfwidth_sds=st.floats(0.5, 20.0),
+        reporting_dt=st.floats(1e-4, 1.0),
+        quad_order_jump=st.integers(20, 80),
+        quad_order_event=st.integers(40, 200),
+    ),
 )
-def test_round_trip_random_linear_configs(seed, dt, q, r):
-    cfg = _base_config(seed=seed, dt=dt)
-    law = dataclasses.replace(cfg.model.jump_law, q=((q,),), r=((r,),))
-    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, jump_law=law))
-    assert model.scenario_from_json(model.scenario_to_json(cfg)) == cfg
+def test_round_trip_random_linear_configs(seed, dt, law_kind, law_values, schedule_kind, times, filters):
+    cfg = _base_config(seed=seed, dt=dt, filters=filters, schedule=_SCHEDULES[schedule_kind](times))
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, jump_law=_LAWS[law_kind](law_values)))
+    model.validate(cfg)
+    text = model.scenario_to_json(cfg)
+    back = model.scenario_from_json(text)
+    assert back == cfg
+    assert model.scenario_to_json(back) == text
