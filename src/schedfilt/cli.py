@@ -6,11 +6,12 @@ Three subcommands:
     filter     run one or all filters along a realized event sequence
     diagnose   run the consistency check battery, emit a JSON report
 
-Every run writes a `manifest.json` into the output directory before any
-data file, recording the resolved scenario hash, seed, command line and
-the list of files the run will produce.  Re-running the same command with
-the same scenario and seed reproduces every data file byte for byte; set
-SOURCE_DATE_EPOCH to also pin the manifest timestamp.
+Every run that completes writes a `manifest.json` into the output
+directory after its data files, recording the resolved scenario hash,
+seed, command line and the list of files the run wrote; a run that fails
+writes none.  Re-running the same command with the same scenario and seed
+reproduces every data file byte for byte; set SOURCE_DATE_EPOCH to also
+pin the manifest timestamp.
 
 Exit codes: 0 success (all checks passed), 1 a check or numerical run
 failed, 2 bad configuration or I/O, 3 method incompatible with scenario.
@@ -106,7 +107,7 @@ def _out_dir(args, subcommand: str) -> Path:
 
 
 def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: list) -> None:
-    """Record provenance before any data file exists."""
+    """Record provenance once the data files are written."""
     stamp = os.environ.get("SOURCE_DATE_EPOCH")
     manifest = {
         "tool": "schedfilt",
@@ -147,11 +148,6 @@ def cmd_simulate(args) -> int:
     m, n = scenario.m, scenario.n
     out = _out_dir(args, "simulate")
 
-    names = []
-    for p in range(args.paths):
-        names += [f"path_{p:04d}.csv", f"events_{p:04d}.csv"]
-    _write_manifest(out, args, canonical, seed, names)
-
     path_header = (
         ["path_id", "t"]
         + [f"x_{j + 1}" for j in range(m)]
@@ -168,6 +164,8 @@ def cmd_simulate(args) -> int:
         _write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n))
         for msg in result.warnings:
             print(f"path {p}: {msg}", file=sys.stderr)
+    names = [f"{kind}_{p:04d}.csv" for p in range(args.paths) for kind in ("path", "events")]
+    _write_manifest(out, args, canonical, seed, names)
     print(f"wrote {2 * args.paths} files to {out}")
     return 0
 
@@ -194,6 +192,8 @@ def _load_events(path: Path, path_id: int, n: int) -> list:
             rows = [r for r in reader if int(r["path_id"]) == path_id]
     except (OSError, KeyError, ValueError) as exc:
         raise CliError(2, f"could not read events from {path}: {exc}") from exc
+    if not rows:
+        raise CliError(2, f"no event in {path} has path id {path_id}")
     rows.sort(key=lambda r: int(r["i"]))
     events = []
     y = np.zeros(n)
@@ -260,13 +260,6 @@ def cmd_filter(args) -> int:
         "zakai-particle": "zakai_trajectory.csv",
         "grid": "grid_trajectory.csv",
     }
-    names = [file_for[meth] for meth in methods]
-    names.append("events_used.csv")
-    if args.method == "all":
-        names.append("comparison.csv")
-    if args.dump_density and "grid" in methods:
-        names.append("grid_density.csv")
-    _write_manifest(out, args, canonical, seed, names)
 
     if args.events is not None:
         events = _load_events(Path(args.events), args.path_id, n)
@@ -345,6 +338,12 @@ def cmd_filter(args) -> int:
             ["t"] + col_names,
             [times] + [[columns[c].get(t) for t in times] for c in col_names],
         )
+    names = [file_for[meth] for meth in ran] + ["events_used.csv"]
+    if args.method == "all":
+        names.append("comparison.csv")
+    if args.dump_density and "grid" in ran:
+        names.append("grid_density.csv")
+    _write_manifest(out, args, canonical, seed, names)
 
     print(f"ran {', '.join(ran)} on {len(events)} events; output in {out}")
     if skipped:
@@ -377,8 +376,6 @@ def cmd_diagnose(args) -> int:
     if args.particles is not None and "zakai" in overrides:
         overrides["zakai"]["n_particles"] = args.particles
 
-    _write_manifest(out, args, canonical, seed, ["diagnostics_report.json"])
-
     reports = run_checks(scenario, names, seed=seed, negative_control=args.negative_control, **overrides)
     payload = {
         "scenario": args.scenario,
@@ -390,6 +387,7 @@ def cmd_diagnose(args) -> int:
     with open(out / "diagnostics_report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _write_manifest(out, args, canonical, seed, ["diagnostics_report.json"])
 
     print(report_table(reports))
     return 0 if payload["all_passed"] else 1

@@ -98,7 +98,9 @@ class GaussianMarks:
 
     Marks are drawn as z factor^T with z standard normal of width
     factor.shape[1], so a law may draw fewer normals than it has
-    coordinates.
+    coordinates.  The factor is applied row by row, so that K marks drawn
+    in one call are the K marks drawn one at a time: exactly where each
+    row of the factor has one nonzero entry, to round-off otherwise.
     """
 
     eta_has_density = True
@@ -118,7 +120,7 @@ class GaussianMarks:
 
     def sample_marks(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (xi (size, m), eta (size, n)) jointly."""
-        z = rng.standard_normal((size, self._factor.shape[1])) @ self._factor.T
+        z = np.einsum("ij,nj->ni", self._factor, rng.standard_normal((size, self._factor.shape[1])))
         return z[:, : self.m], z[:, self.m :]
 
     def sample_xi_marginal(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -544,6 +546,23 @@ def _from_fields(cls, data: dict):
     return cls(**kwargs)
 
 
+def _known_fields(cls, data: dict):
+    """`_from_fields`, refusing a key that names no field: a misspelt knob
+    must not fall back to its default."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise TypeError(f"unknown {cls.__name__} field(s): {', '.join(sorted(unknown))}")
+    return _from_fields(cls, data)
+
+
+def _integral(value: Any) -> int:
+    """An `int` field's value; a number with a fractional part is refused,
+    not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 def _nested_tuple(value: Any):
     if isinstance(value, list):
         return tuple(_nested_tuple(v) for v in value)
@@ -553,12 +572,12 @@ def _nested_tuple(value: Any):
 # field annotation (a string, under `from __future__ import annotations`) ->
 # reader of its JSON value; fields of other types are taken as they are
 _READERS: dict[str, Callable[[Any], Any]] = {
-    "int": int,
+    "int": _integral,
     "float": float,
     "tuple": lambda v: tuple(map(_nested_tuple, v)),
     "tuple | None": _nested_tuple,
     **{cls.__name__: partial(_from_fields, cls) for cls in (JumpLawSpec, Schedule, ModelSpec)},
-    "FilterSettings": lambda d: FilterSettings(**d),  # strict: a misspelt knob must not fall back to its default
+    "FilterSettings": partial(_known_fields, FilterSettings),
 }
 
 

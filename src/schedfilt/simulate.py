@@ -167,19 +167,20 @@ def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
 
 def _draws(scenario: ValidatedScenario, seed: int, paths, n_steps: int, n_marks: int, antithetic: bool = False):
     """Normals z (P, n_steps, m) and marks xi (P, n_marks, m), eta (P, n_marks, n)
-    for the path ids `paths`, each path from its own streams.  With
-    `antithetic`, an odd path negates the draws of the path before it."""
+    for the path ids `paths`, each path from its own streams, its marks in
+    one draw.  With `antithetic`, an odd path negates the draws of the path
+    before it."""
     m, n, P = scenario.m, scenario.n, len(paths)
     z, xi, eta = np.empty((P, n_steps, m)), np.empty((P, n_marks, m)), np.empty((P, n_marks, n))
+    drawn = [p for p in paths if not (antithetic and p % 2)]
+    diffusion = rngs.streams(seed, rngs.PATH_DIFFUSION, drawn)
+    marks = rngs.streams(seed, rngs.PATH_MARKS, drawn)
     for j, p in enumerate(paths):
         if antithetic and p % 2:
             z[j], xi[j], eta[j] = -z[j - 1], -xi[j - 1], -eta[j - 1]
             continue
-        z[j] = rngs.stream(seed, rngs.PATH_DIFFUSION, p).standard_normal((n_steps, m))
-        rng_marks = rngs.stream(seed, rngs.PATH_MARKS, p)
-        for i in range(n_marks):
-            xi_i, eta_i = scenario.jump_law.sample_marks(rng_marks, 1)
-            xi[j, i], eta[j, i] = xi_i[0], eta_i[0]
+        next(diffusion).standard_normal(out=z[j])
+        xi[j], eta[j] = scenario.jump_law.sample_marks(next(marks), n_marks)
     return z, xi, eta
 
 

@@ -54,14 +54,14 @@ def tanh_affine(w, b: float = 0.0, name: str | None = None) -> TestFunction:
     w = np.atleast_1d(np.asarray(w, dtype=float))
 
     def value(x):
-        return np.tanh(x @ w + b)
+        return np.tanh(np.einsum("ni,i->n", x, w) + b)
 
     def grad(x):
-        t = np.tanh(x @ w + b)
+        t = value(x)
         return (1.0 - t**2)[:, None] * w
 
     def hess(x):
-        t = np.tanh(x @ w + b)
+        t = value(x)
         outer = w[:, None] * w[None, :]
         return (-2.0 * t * (1.0 - t**2))[:, None, None] * outer
 
@@ -169,11 +169,10 @@ def diffusion_generator(phi: TestFunction, scenario: ValidatedScenario) -> Calla
 
     def lphi(x: np.ndarray) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        a = scenario.drift(x2)
         b = scenario.diffusion(x2)
-        sigma = b @ np.swapaxes(b, -1, -2)
-        first = np.sum(a * phi.grad(x2), axis=1)
-        second = 0.5 * np.einsum("nij,nij->n", sigma, phi.hess(x2))
+        first = np.einsum("ni,ni->n", scenario.drift(x2), phi.grad(x2))
+        # tr(b b^T H) without forming b b^T
+        second = 0.5 * np.einsum("nik,njk,nij->n", b, b, phi.hess(x2))
         return first + second
 
     return lphi

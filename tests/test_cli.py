@@ -269,6 +269,36 @@ def test_negative_path_id_exit_2(tmp_path, run_cli):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "nonnegative" in proc.stderr
+    # the manifest is written last, so a failed run leaves none
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_absent_events_path_id_exit_2(tmp_path, run_cli):
+    sim = run_cli(["simulate", "ou_kalman", "--paths", "1", "--out", str(tmp_path / "sim")], tmp_path)
+    assert sim.returncode == 0, sim.stderr
+    events = str(tmp_path / "sim" / "events_0000.csv")
+    proc = run_cli(
+        ["filter", "ou_kalman", "--method", "kalman", "--events", events, "--path-id", "7", "--out", str(tmp_path / "x")],
+        tmp_path,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "path id 7" in proc.stderr
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+def test_manifest_lists_only_written_files(tmp_path, run_cli):
+    # njode_style's observation map is not affine, so --method all skips kalman
+    out = tmp_path / "fil"
+    proc = run_cli(
+        ["filter", "njode_style", "--method", "all", "--particles", "500", "--nodes", "200", "--out", str(out)],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "skipping kalman" in proc.stderr
+    listed = set(read_manifest(out)["outputs"])
+    assert listed == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert "kalman_trajectory.csv" not in listed
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,9 @@ _MALFORMED_ENTRIES = {
     "const_without_value": ("model.diffusion", {"kind": "const"}, UnknownFunctionDescriptor),
     "affine_slope_not_a_number": ("model.drift", {"kind": "affine", "slope": "a", "intercept": 0.0}, UnknownFunctionDescriptor),
     "m_not_an_integer": ("model.m", "a", ValidationError),
+    "m_fractional": ("model.m", 1.7, ValidationError),
+    "seed_fractional": ("seed", 12.9, ValidationError),
+    "n_particles_fractional": ("filters.n_particles", 500.5, ValidationError),
     "horizon_not_a_number": ("horizon", "abc", ValidationError),
     "misspelt_filter_setting": ("filters.n_particle", 5, ValidationError),
 }
