@@ -233,12 +233,19 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.nda
     return band
 
 
-def _apply_band(density: GridDensity, band: np.ndarray) -> np.ndarray:
-    h = band.shape[1] // 2
+def _apply_band(density: GridDensity, band: np.ndarray, steps: int = 1) -> np.ndarray:
+    """The density after `steps` applications of the band to its masses,
+    stepped in one zero-padded buffer and one window view."""
+    G, h = density.n_nodes, band.shape[1] // 2
     w = density.trapz_weights()
-    padded = np.zeros(density.n_nodes + 2 * h)
-    padded[h : h + density.n_nodes] = density.p * w
-    return np.einsum("js,js->j", band, sliding_window_view(padded, band.shape[1])) / w
+    padded = np.zeros(G + 2 * h)
+    masses, windows = padded[h : h + G], sliding_window_view(padded, band.shape[1])
+    p, out = density.p.copy(), np.empty(G)
+    for _ in range(steps):
+        np.multiply(p, w, out=masses)
+        np.einsum("js,js->j", band, windows, out=out)
+        np.divide(out, w, out=p)
+    return p
 
 
 _BANDS: dict[tuple, np.ndarray] = {}
@@ -299,9 +306,7 @@ def grid_propagate(
     rest = delta_t - steps * substep
     spec = {"drift": model.drift, "diffusion": model.diffusion}
     band = _memo_band(spec, x, substep, lambda: _transition_band(scenario, x, substep))
-    out = density.copy()
-    for _ in range(steps):
-        out.p = _apply_band(out, band)
+    out = GridDensity(x, _apply_band(density, band, steps))
     if rest > 1e-9:
         # the rest's width varies by float noise, so it is not memoized
         out.p = _apply_band(out, _transition_band(scenario, x, rest))

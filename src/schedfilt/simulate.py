@@ -11,13 +11,18 @@ increments and marks come from separate per-path streams, so refining dt
 leaves the realized marks unchanged.  One engine, `_euler`, steps a block
 of paths and holds the threshold trigger; `simulate_batch` runs it on
 blocks of whole paths (`simulate_path` is the one-path case) and
-`run_ensemble` on chunks of many, keeping only checkpoints.
+`run_ensemble` on chunks of many, keeping only checkpoints.  A block's
+normals are drawn a tile of steps at a time into one reused buffer of at
+most `TILE_NORMALS` values, so a chunk never holds its whole horizon of
+normals; each path's stream is still read in step order, so the tiling
+does not change a draw.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -46,6 +51,10 @@ _MERGE_TOL = 1e-9
 # Paths a simulate_batch block steps together: about 1 MB per (2001, P, m)
 # array for a scalar model of 2,000 steps.
 BLOCK_PATHS = 64
+# Normals a block holds at once: its (P, T, m) tile buffer is about 8 MB.
+# That is the whole horizon of a simulate_batch block, and 262 steps of a
+# 4,000-path scalar run_ensemble chunk.
+TILE_NORMALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def _blocks(scenario: ValidatedScenario, path_ids: list, seed, scheduled) -> Ite
     for lo in range(0, len(path_ids), BLOCK_PATHS):
         ids = path_ids[lo : lo + BLOCK_PATHS]
         P = len(ids)
-        draws = _draws(scenario, seed, ids, len(t) - 1, scenario.schedule.n_events)
+        draws = _draws(scenario, seed, ids, scenario.schedule.n_events)
         x, y, _, fired = _euler(scenario, t, draws, event_rows, range(len(t)))
         events: list[list[ObservationEvent]] = [[] for _ in range(P)]
         rows: list[list[int]] = [[] for _ in range(P)]
@@ -165,23 +174,45 @@ def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
     return rows
 
 
-def _draws(scenario: ValidatedScenario, seed: int, paths, n_steps: int, n_marks: int, antithetic: bool = False):
-    """Normals z (P, n_steps, m) and marks xi (P, n_marks, m), eta (P, n_marks, n)
-    for the path ids `paths`, each path from its own streams, its marks in
-    one draw.  With `antithetic`, an odd path negates the draws of the path
-    before it."""
+def _draws(scenario: ValidatedScenario, seed: int, paths, n_marks: int, antithetic: bool = False):
+    """Diffusion generators (P,) and marks xi (P, n_marks, m), eta (P,
+    n_marks, n) for the path ids `paths`, each path from its own streams,
+    its marks in one draw.  With `antithetic`, an odd path negates the
+    draws of the path before it and has no generator (None)."""
     m, n, P = scenario.m, scenario.n, len(paths)
-    z, xi, eta = np.empty((P, n_steps, m)), np.empty((P, n_marks, m)), np.empty((P, n_marks, n))
+    xi, eta = np.empty((P, n_marks, m)), np.empty((P, n_marks, n))
     drawn = [p for p in paths if not (antithetic and p % 2)]
     diffusion = rngs.streams(seed, rngs.PATH_DIFFUSION, drawn)
     marks = rngs.streams(seed, rngs.PATH_MARKS, drawn)
+    gens = []
     for j, p in enumerate(paths):
         if antithetic and p % 2:
-            z[j], xi[j], eta[j] = -z[j - 1], -xi[j - 1], -eta[j - 1]
+            gens.append(None)
+            xi[j], eta[j] = -xi[j - 1], -eta[j - 1]
             continue
-        next(diffusion).standard_normal(out=z[j])
+        gens.append(next(diffusion))
         xi[j], eta[j] = scenario.jump_law.sample_marks(next(marks), n_marks)
-    return z, xi, eta
+    return gens, xi, eta
+
+
+def _tile_steps(n_paths: int, m: int, n_steps: int) -> int:
+    return max(1, min(n_steps, TILE_NORMALS // (n_paths * m)))
+
+
+def _normals(gens, m: int, n_steps: int) -> Iterator[np.ndarray]:
+    """Yield the (P, m) normals of each step in turn.  They are drawn a
+    tile of `_tile_steps` steps at a time into one buffer: row j from
+    generator j, or the negated row before it where the generator is None."""
+    T = _tile_steps(len(gens), m, n_steps)
+    tile = np.empty((len(gens), T, m))
+    for lo in range(0, n_steps, T):
+        L = min(T, n_steps - lo)
+        for j, gen in enumerate(gens):
+            if gen is None:
+                np.negative(tile[j - 1, :L], out=tile[j, :L])
+            else:
+                gen.standard_normal(out=tile[j, :L])
+        yield from tile.swapaxes(0, 1)[:L]
 
 
 def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_rows, integrands=()):
@@ -197,8 +228,9 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     (row, label, paths, dy, y_pre, x_pre, xi, eta), with `paths` the block
     rows it fired on and the arrays over those rows.
     """
-    z, xi_all, eta_all = draws
-    P, n_steps, m = z.shape
+    gens, xi_all, eta_all = draws
+    P, n_steps, m = len(gens), len(t) - 1, scenario.m
+    normals = _normals(gens, m, n_steps)
     sched = scenario.schedule
     thresholds = np.asarray(sched.thresholds) if sched.kind == "threshold" else None
     untriggered = np.ones((P, sched.n_events), dtype=bool)
@@ -241,7 +273,7 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
             if G:
                 int_out[s] = acc
         if k < n_steps:
-            x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, z[:, k]) * sqrt_hs[k]
+            x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, next(normals)) * sqrt_hs[k]
             if not np.isfinite(x).all():
                 raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
             if G:
@@ -284,10 +316,17 @@ def run_ensemble(
     ensemble trajectories agree with single-path runs bit for bit.  Only
     deterministic schedules are supported here; integrands g are (N, m) ->
     (N,) maps accumulated as trapezoid integrals of g(X_s) ds with the
-    pre-jump value closing the segment that ends at an event.
+    pre-jump value closing the segment that ends at an event.  The paths
+    run in chunks of `chunk_size`; a chunk holds its paths' generators,
+    marks and current states plus one tile of normals (`TILE_NORMALS`),
+    not its whole horizon of normals.
     """
     if scenario.schedule.kind != "deterministic":
         raise UnsupportedScenario("run_ensemble supports deterministic schedules only")
+    if not isinstance(n_paths, Integral) or n_paths < 0:
+        raise ValidationError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
+    if not isinstance(chunk_size, Integral) or chunk_size < 1:
+        raise ValidationError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     if antithetic and n_paths % 2:
         raise ValidationError("antithetic ensembles need an even number of paths")
     if antithetic and isinstance(scenario.jump_law, DiscreteMarks):
@@ -312,9 +351,9 @@ def run_ensemble(
     )
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        draws = _draws(scenario, seed, range(lo, hi), len(t) - 1, K, antithetic)
+        draws = _draws(scenario, seed, range(lo, hi), K, antithetic)
         x, _, integrals, fired = _euler(scenario, t, draws, event_rows, ckpt_rows, integrands)
-        del draws  # free the (P, steps, m) normals before the next chunk draws its own
+        del draws  # free the chunk's generators before the next chunk seeds its own
         out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x.swapaxes(0, 1), integrals.swapaxes(0, 1)
         for i, event in enumerate(fired):
             for name, value in zip(dims, event[3:]):

@@ -1,8 +1,8 @@
 """Bounded smooth test functions with coded derivatives.
 
 The filtering identities are checked against a battery of C_b^2 functions.
-Each `TestFunction` carries hand-coded gradient and Hessian so that the
-diffusion generator
+Each `TestFunction` carries a hand-coded gradient and Hessian, computed
+together from one evaluation, so that the diffusion generator
 
     L phi(x) = a(x) . grad phi(x) + 0.5 tr(b b^T (x) hess phi(x))
 
@@ -41,8 +41,7 @@ __all__ = [
 class TestFunction:
     name: str
     value: Callable[[np.ndarray], np.ndarray]  # (N, m) -> (N,)
-    grad: Callable[[np.ndarray], np.ndarray]  # (N, m) -> (N, m)
-    hess: Callable[[np.ndarray], np.ndarray]  # (N, m) -> (N, m, m)
+    derivs: Callable[[np.ndarray], tuple]  # (N, m) -> gradient (N, m), Hessian (N, m, m)
     bound: float  # sup |phi|
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -56,16 +55,13 @@ def tanh_affine(w, b: float = 0.0, name: str | None = None) -> TestFunction:
     def value(x):
         return np.tanh(np.einsum("ni,i->n", x, w) + b)
 
-    def grad(x):
+    def derivs(x):
         t = value(x)
-        return (1.0 - t**2)[:, None] * w
-
-    def hess(x):
-        t = value(x)
+        s2 = 1.0 - t**2
         outer = w[:, None] * w[None, :]
-        return (-2.0 * t * (1.0 - t**2))[:, None, None] * outer
+        return s2[:, None] * w, (-2.0 * t * s2)[:, None, None] * outer
 
-    return TestFunction(name or "tanh_affine", value, grad, hess, bound=1.0)
+    return TestFunction(name or "tanh_affine", value, derivs, bound=1.0)
 
 
 def gauss_bump(center, scale: float, name: str | None = None) -> TestFunction:
@@ -78,18 +74,14 @@ def gauss_bump(center, scale: float, name: str | None = None) -> TestFunction:
         d = x - center
         return np.exp(-np.sum(d**2, axis=1) / scale)
 
-    def grad(x):
-        d = x - center
-        return value(x)[:, None] * (-2.0 / scale) * d
-
-    def hess(x):
+    def derivs(x):
         d = x - center
         v = value(x)
         eye = np.eye(center.size)
         outer = d[:, :, None] * d[:, None, :]
-        return v[:, None, None] * ((4.0 / scale**2) * outer - (2.0 / scale) * eye)
+        return v[:, None] * (-2.0 / scale) * d, v[:, None, None] * ((4.0 / scale**2) * outer - (2.0 / scale) * eye)
 
-    return TestFunction(name or "gauss_bump", value, grad, hess, bound=1.0)
+    return TestFunction(name or "gauss_bump", value, derivs, bound=1.0)
 
 
 def clipped_identity(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
@@ -101,19 +93,15 @@ def clipped_identity(cap: float = 10.0, component: int = 0, name: str | None = N
     def value(x):
         return cap * np.tanh(x[:, k] / cap)
 
-    def grad(x):
+    def derivs(x):
         t = np.tanh(x[:, k] / cap)
-        out = np.zeros_like(x)
-        out[:, k] = 1.0 - t**2
-        return out
+        grad = np.zeros_like(x)
+        grad[:, k] = 1.0 - t**2
+        hess = np.zeros(x.shape + (x.shape[1],))
+        hess[:, k, k] = -2.0 * t * (1.0 - t**2) / cap
+        return grad, hess
 
-    def hess(x):
-        t = np.tanh(x[:, k] / cap)
-        out = np.zeros(x.shape + (x.shape[1],))
-        out[:, k, k] = -2.0 * t * (1.0 - t**2) / cap
-        return out
-
-    return TestFunction(name or "clipped_identity", value, grad, hess, bound=cap)
+    return TestFunction(name or "clipped_identity", value, derivs, bound=cap)
 
 
 def clipped_square(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
@@ -125,22 +113,16 @@ def clipped_square(cap: float = 10.0, component: int = 0, name: str | None = Non
     def value(x):
         return cap**2 * np.tanh(x[:, k] / cap) ** 2
 
-    def grad(x):
-        u = x[:, k] / cap
-        t = np.tanh(u)
-        out = np.zeros_like(x)
-        out[:, k] = 2.0 * cap * t * (1.0 - t**2)
-        return out
-
-    def hess(x):
-        u = x[:, k] / cap
-        t = np.tanh(u)
+    def derivs(x):
+        t = np.tanh(x[:, k] / cap)
         s2 = 1.0 - t**2
-        out = np.zeros(x.shape + (x.shape[1],))
-        out[:, k, k] = 2.0 * s2 * (s2 - 2.0 * t**2)
-        return out
+        grad = np.zeros_like(x)
+        grad[:, k] = 2.0 * cap * t * s2
+        hess = np.zeros(x.shape + (x.shape[1],))
+        hess[:, k, k] = 2.0 * s2 * (s2 - 2.0 * t**2)
+        return grad, hess
 
-    return TestFunction(name or "clipped_square", value, grad, hess, bound=cap**2)
+    return TestFunction(name or "clipped_square", value, derivs, bound=cap**2)
 
 
 def default_battery(m: int = 1) -> list[TestFunction]:
@@ -170,9 +152,10 @@ def diffusion_generator(phi: TestFunction, scenario: ValidatedScenario) -> Calla
     def lphi(x: np.ndarray) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         b = scenario.diffusion(x2)
-        first = np.einsum("ni,ni->n", scenario.drift(x2), phi.grad(x2))
+        grad, hess = phi.derivs(x2)
+        first = np.einsum("ni,ni->n", scenario.drift(x2), grad)
         # tr(b b^T H) without forming b b^T
-        second = 0.5 * np.einsum("nik,njk,nij->n", b, b, phi.hess(x2))
+        second = 0.5 * np.einsum("nik,njk,nij->n", b, b, hess)
         return first + second
 
     return lphi

@@ -332,6 +332,87 @@ def test_ensemble_deterministic(ou_scenario):
     np.testing.assert_array_equal(a.dy, b.dy)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"chunk_size": -2}, "chunk_size"),
+        ({"chunk_size": 0}, "chunk_size"),
+        ({"chunk_size": 2.5}, "chunk_size"),
+        ({"n_paths": -3}, "n_paths"),
+        ({"n_paths": 5.0}, "n_paths"),
+    ],
+    ids=["chunk_size_negative", "chunk_size_zero", "chunk_size_fractional", "n_paths_negative", "n_paths_float"],
+)
+def test_run_ensemble_rejects_bad_sizes(ou_scenario, kwargs, match):
+    kwargs = {"n_paths": 5, **kwargs}
+    with pytest.raises(ValidationError, match=match):
+        simulate.run_ensemble(ou_scenario, checkpoint_times=[1.0], **kwargs)
+
+
+def test_run_ensemble_of_no_paths(ou_scenario):
+    ens = simulate.run_ensemble(ou_scenario, 0, checkpoint_times=[1.0])
+    assert ens.x_checkpoints.shape == (0, 1, 1)
+    assert ens.dy.shape == (0, len(ens.event_times), 1)
+
+
+# ---------------------------------------------------------------------------
+# normals drawn in tiles of steps
+
+
+def _ensemble_scenarios(euler_scenarios):
+    scenarios = {name: euler_scenarios[name] for name in ("ou_kalman", "credit_risk", "njode_style", "m2_constant_matrix")}
+    # ensembles need a deterministic schedule
+    scenarios["medical"] = model.validate(
+        dataclasses.replace(
+            euler_scenarios["medical"].config, schedule=model.Schedule(kind="deterministic", times=(0.5, 1.0))
+        )
+    )
+    return scenarios
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_ensemble_in_tiles_of_7_steps_is_bit_identical(euler_scenarios, monkeypatch, antithetic):
+    # 7 divides none of the grids, so every run has a short last tile; chunks
+    # of 4 of 6 paths leave a short last chunk.  Unpatched, so few paths draw
+    # their whole horizon in one tile.
+    from schedfilt import testfns
+
+    for name, scn in _ensemble_scenarios(euler_scenarios).items():
+        checkpoints = [0.4, scn.horizon]
+        lphi = testfns.diffusion_generator(testfns.battery_function("tanh", scn.m), scn)
+        kwargs = dict(checkpoint_times=checkpoints, integrands=[lphi], antithetic=antithetic, chunk_size=4)
+        whole = simulate.run_ensemble(scn, 6, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_tile_steps", lambda n_paths, m, n_steps: 7)
+            tiled = simulate.run_ensemble(scn, 6, **kwargs)
+        for field in dataclasses.fields(whole):
+            np.testing.assert_array_equal(
+                getattr(tiled, field.name), getattr(whole, field.name), err_msg=f"{name} {field.name}"
+            )
+        if antithetic:
+            continue
+        for p in range(6):
+            res = simulate.simulate_path(scn, path_id=p)
+            for ci, t in enumerate(checkpoints):
+                k = int(np.argmin(np.abs(res.path.t - t)))
+                np.testing.assert_array_equal(tiled.x_checkpoints[p, ci], res.path.x[k], err_msg=name)
+            np.testing.assert_array_equal(tiled.x_pre[p], [ev.x_pre for ev in res.events], err_msg=name)
+
+
+def test_ensemble_chunk_holds_one_tile_of_normals(ou_scenario):
+    # a 4,000-path chunk of 2,000 scalar steps: 64 MB of normals over the
+    # horizon, 8 MB in one tile
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        simulate.run_ensemble(ou_scenario, 4000, checkpoint_times=[1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # bit identity of the Euler steps
 

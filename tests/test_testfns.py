@@ -30,14 +30,14 @@ def _fd_hess_diag(phi, x, h=1e-4):
 @pytest.mark.parametrize("phi", testfns.default_battery(1), ids=lambda p: p.name)
 def test_gradients_match_finite_differences(phi):
     x = np.linspace(-2.0, 2.0, 9)[:, None]
-    np.testing.assert_allclose(phi.grad(x), _fd_grad(phi, x), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(phi.derivs(x)[0], _fd_grad(phi, x), rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("phi", testfns.default_battery(1), ids=lambda p: p.name)
 def test_hessians_match_finite_differences(phi):
     x = np.linspace(-2.0, 2.0, 9)[:, None]
     np.testing.assert_allclose(
-        phi.hess(x)[:, 0, 0], _fd_hess_diag(phi, x)[:, 0], rtol=1e-4, atol=1e-6
+        phi.derivs(x)[1][:, 0, 0], _fd_hess_diag(phi, x)[:, 0], rtol=1e-4, atol=1e-6
     )
 
 
