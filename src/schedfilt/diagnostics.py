@@ -73,11 +73,12 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # martingale of the compensated generator decomposition
 
+_CHECKPOINTS = (0.4, 0.9, 1.4, 2.0)
+
 
 def check_martingale_Mphi(
     scenario: ValidatedScenario,
     phi: testfns.TestFunction | None = None,
-    checkpoints=(0.4, 0.9, 1.4, 2.0),
     n_paths: int = 10_000,
     seed: int | None = None,
     negative_control: bool = False,
@@ -95,7 +96,7 @@ def check_martingale_Mphi(
         phi = testfns.default_battery(scenario.m)[0]
     if seed is None:
         seed = scenario.seed
-    checkpoints = tuple(float(c) for c in checkpoints if c <= scenario.horizon + 1e-12)
+    checkpoints = tuple(c for c in _CHECKPOINTS if c <= scenario.horizon + 1e-12)
     lphi = testfns.diffusion_generator(phi, scenario)
     aphi = testfns.jump_generator(phi, scenario, order=scenario.filters.quad_order_jump)
 
@@ -129,7 +130,12 @@ def check_martingale_Mphi(
         feats = np.column_stack(
             [np.ones(n_paths), ens.x_checkpoints[:, j - 1, 0], m_paths[:, j - 1]]
         )
-        beta, *_ = np.linalg.lstsq(feats, d, rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(feats, d, rcond=None)
+        if rank < feats.shape[1]:
+            raise UnsupportedScenario(
+                f"the martingale check's regression on (1, X, M) is rank-deficient at t = {checkpoints[j - 1]:g}: "
+                f"phi = {phi.name} is flat over the simulated states"
+            )
         resid = d - feats @ beta
         dof = n_paths - feats.shape[1]
         sigma2 = float(resid @ resid) / dof
@@ -160,16 +166,15 @@ def check_martingale_Mphi(
 # ---------------------------------------------------------------------------
 # filtering-equation residuals on the grid oracle
 
+_H_BASE = 0.04  # the interior step; its half is the second
+
 
 def check_ks_residual(
     scenario: ValidatedScenario,
     phi: testfns.TestFunction | None = None,
     n_runs: int = 20,
     seed: int | None = None,
-    h_base: float = 0.04,
     negative_control: bool = False,
-    tol: float | None = None,
-    n_nodes: int | None = None,
 ) -> CheckReport:
     """Interior and event residuals of the conditional-expectation flow.
 
@@ -190,13 +195,12 @@ def check_ks_residual(
         phi = testfns.default_battery(scenario.m)[0]
     if seed is None:
         seed = scenario.seed
-    if tol is None:
-        tol = 1e-6 if scenario.jump_law.xi_is_zero else 1e-3
+    tol = 1e-6 if scenario.jump_law.xi_is_zero else 1e-3
     if negative_control and scenario.jump_law.xi_is_zero:
         raise UnsupportedScenario("the negative control needs a scenario with signal jumps")
     lphi = testfns.diffusion_generator(phi, scenario)
     aphi = testfns.jump_generator(phi, scenario, order=scenario.filters.quad_order_jump)
-    x_nodes = grid.make_grid(scenario, n_nodes=n_nodes)
+    x_nodes = grid.make_grid(scenario)
 
     # interior Taylor-order ratio on a jump-free stretch from the start.
     # Measured over the whole battery and scored on the function with the
@@ -207,13 +211,13 @@ def check_ks_residual(
     t0 = max(scenario.dt, round(t0 / scenario.dt) * scenario.dt)
     dens0 = grid.init_density(x_nodes, float(scenario.x0[0]))
     base = grid.grid_propagate(dens0, scenario, t0)
-    stepped_full = grid.grid_propagate(base, scenario, h_base)
-    stepped_half = grid.grid_propagate(base, scenario, h_base / 2.0)
+    stepped_full = grid.grid_propagate(base, scenario, _H_BASE)
+    stepped_half = grid.grid_propagate(base, scenario, _H_BASE / 2.0)
     best = None
     for cand in testfns.default_battery(scenario.m):
         lcand = testfns.diffusion_generator(cand, scenario)
         pairs = []
-        for h, stepped in ((h_base, stepped_full), (h_base / 2.0, stepped_half)):
+        for h, stepped in ((_H_BASE, stepped_full), (_H_BASE / 2.0, stepped_half)):
             r = stepped.expectation(cand) - base.expectation(cand) - h * base.expectation(lcand)
             pairs.append(abs(r))
         if best is None or pairs[1] > best[2][1]:
@@ -262,15 +266,15 @@ def check_ks_residual(
 # ---------------------------------------------------------------------------
 # unnormalized-measure structure
 
+_ZAKAI_QUAD_ORDER = 40
+_ZAKAI_REF_PATHS = 2000
+
 
 def check_zakai(
     scenario: ValidatedScenario,
     n_runs: int = 3,
     n_particles: int = 20_000,
     seed: int | None = None,
-    quad_order: int = 40,
-    n_ref_paths: int = 2000,
-    subchecks: tuple = ("compensated_drift", "mass_jump", "reference_martingale"),
     negative_control: bool = False,
 ) -> CheckReport:
     """Three structural facts of the unnormalized filter.
@@ -294,88 +298,67 @@ def check_zakai(
     if seed is None:
         seed = scenario.seed
     r = float(params.R[0, 0])
-    details: dict = {}
-    all_pass = True
-    worst = 0.0
+    nodes, wts = gaussian_quad_points(0.0, r, _ZAKAI_QUAD_ORDER)
+    log_ref = -0.5 * nodes**2 / r - 0.5 * np.log(2.0 * np.pi * r)
+    drift_vals, jump_rows = [], []
+    for run, sim in enumerate(simulate.simulate_batch(scenario, range(n_runs), seed)):
+        events = sim.events
+        times = np.array([e.time for e in events])
+        dys = np.array([[float(np.asarray(e.dy).reshape(-1)[0]) for e in events]])
+        beliefs = filter_events_vectorized(params, scenario.x0, dys, times)
+        pv_noiseless = beliefs.pred_var - r  # (K,)
 
-    if "compensated_drift" in subchecks or "mass_jump" in subchecks:
-        drift_vals, jump_rows = [], []
-        for run, sim in enumerate(simulate.simulate_batch(scenario, range(n_runs), seed)):
-            events = sim.events
-            times = np.array([e.time for e in events])
-            dys = np.array([[float(np.asarray(e.dy).reshape(-1)[0]) for e in events]])
-            beliefs = filter_events_vectorized(params, scenario.x0, dys, times)
-            pv_noiseless = beliefs.pred_var - r  # (K,)
+        # compensated drift: the integral of (e^Gamma - 1) against the
+        # predictive law, split so each piece gets a matched Gaussian
+        # envelope: e^Gamma * f^i is the reference density itself (nodes
+        # from N(0, R)), and f^i integrates to one against its own nodes.
+        # Both pieces are then exact for Gaussians and the difference
+        # probes Gamma pointwise at machine precision.
+        pm, s_full = beliefs.pred_mean[0, :, None], beliefs.pred_var[:, None]  # (K, 1): one row per event
+        pv = pv_noiseless[:, None] * (2.0 if negative_control else 1.0)
+        gammas = gamma_gaussian(pm, pv, r, nodes)
+        log_fi = -0.5 * (nodes - pm) ** 2 / s_full - 0.5 * np.log(2.0 * np.pi * s_full)
+        drift_vals.extend((np.sum(wts * np.exp(gammas + log_fi - log_ref), axis=1) - 1.0).tolist())
 
-            if "compensated_drift" in subchecks:
-                # integral of (e^Gamma - 1) against the predictive law, split so
-                # each piece gets a matched Gaussian envelope: e^Gamma * f^i is
-                # the reference density itself (nodes from N(0, R)), and f^i
-                # integrates to one against its own nodes.  Both pieces are
-                # then exact for Gaussians and the difference probes Gamma
-                # pointwise at machine precision.
-                nodes, wts = gaussian_quad_points(0.0, r, quad_order)
-                log_ref = -0.5 * nodes**2 / r - 0.5 * np.log(2.0 * np.pi * r)
-                pm, s_full = beliefs.pred_mean[0, :, None], beliefs.pred_var[:, None]  # (K, 1): one row per event
-                pv = pv_noiseless[:, None] * (2.0 if negative_control else 1.0)
-                gammas = gamma_gaussian(pm, pv, r, nodes)
-                log_fi = -0.5 * (nodes - pm) ** 2 / s_full - 0.5 * np.log(2.0 * np.pi * s_full)
-                drift_vals.extend((np.sum(wts * np.exp(gammas + log_fi - log_ref), axis=1) - 1.0).tolist())
-
-            if "mass_jump" in subchecks:
-                traj = run_particle_filter(
-                    scenario, events, method="zakai", n_particles=n_particles,
-                    seed=seed, reporting_times=[], run_label=run,
-                )
-                for i, rec in enumerate(traj.events):
-                    pv = float(pv_noiseless[i]) * (2.0 if negative_control else 1.0)
-                    expected = float(np.exp(-gamma_gaussian(float(beliefs.pred_mean[0, i]), pv, r, float(dys[0, i]))))
-                    # a zero or non-finite SE, or an overflowed ratio, tests nothing: fail it
-                    testable = 0.0 < rec.mass_ratio_se < np.inf and np.isfinite(rec.mass_ratio)
-                    jump_rows.append(
-                        {
-                            "run": run,
-                            "event": i + 1,
-                            "ratio": rec.mass_ratio,
-                            "expected": expected,
-                            "se": rec.mass_ratio_se,
-                            "tstat": abs(rec.mass_ratio - expected) / rec.mass_ratio_se if testable else np.inf,
-                        }
-                    )
-        if "compensated_drift" in subchecks:
-            drift_worst = max(abs(v) for v in drift_vals) if drift_vals else 0.0
-            ok = drift_worst <= 1e-10
-            details["compensated_drift"] = {"values": drift_vals, "worst": drift_worst, "passed": ok}
-            all_pass &= ok
-            worst = max(worst, drift_worst / 1e-10)
-        if "mass_jump" in subchecks:
-            tmax = max((row["tstat"] for row in jump_rows), default=0.0)
-            ok = tmax <= 3.0
-            details["mass_jump"] = {"rows": jump_rows, "worst_tstat": tmax, "passed": ok}
-            all_pass &= ok
-            worst = max(worst, tmax / 3.0)
-
-    if "reference_martingale" in subchecks:
-        ref = _reference_martingale_stats(scenario, params, n_ref_paths, seed)
-        ok = all(abs(m) <= 3.0 * s for m, s in zip(ref["means"], ref["ses"]) if s > 0)
-        details["reference_martingale"] = {**ref, "passed": ok}
-        all_pass &= ok
-        worst = max(
-            worst,
-            max((abs(m) / (3.0 * s) for m, s in zip(ref["means"], ref["ses"]) if s > 0), default=0.0),
+        traj = run_particle_filter(
+            scenario, events, method="zakai", n_particles=n_particles,
+            seed=seed, reporting_times=[], run_label=run,
         )
-
+        for i, rec in enumerate(traj.events):
+            pv = float(pv_noiseless[i]) * (2.0 if negative_control else 1.0)
+            expected = float(np.exp(-gamma_gaussian(float(beliefs.pred_mean[0, i]), pv, r, float(dys[0, i]))))
+            # a zero or non-finite SE, or an overflowed ratio, tests nothing: fail it
+            testable = 0.0 < rec.mass_ratio_se < np.inf and np.isfinite(rec.mass_ratio)
+            jump_rows.append(
+                {
+                    "run": run,
+                    "event": i + 1,
+                    "ratio": rec.mass_ratio,
+                    "expected": expected,
+                    "se": rec.mass_ratio_se,
+                    "tstat": abs(rec.mass_ratio - expected) / rec.mass_ratio_se if testable else np.inf,
+                }
+            )
+    drift_worst = max(abs(v) for v in drift_vals) if drift_vals else 0.0
+    tmax = max((row["tstat"] for row in jump_rows), default=0.0)
+    ref = _reference_martingale_stats(scenario, params, seed)
+    ref_ok = all(abs(m) <= 3.0 * s for m, s in zip(ref["means"], ref["ses"]) if s > 0)
+    ref_worst = max((abs(m) / (3.0 * s) for m, s in zip(ref["means"], ref["ses"]) if s > 0), default=0.0)
+    details = {
+        "compensated_drift": {"values": drift_vals, "worst": drift_worst, "passed": drift_worst <= 1e-10},
+        "mass_jump": {"rows": jump_rows, "worst_tstat": tmax, "passed": tmax <= 3.0},
+        "reference_martingale": {**ref, "passed": ref_ok},
+    }
     return CheckReport(
         name="zakai_structure",
-        passed=bool(all_pass),
-        statistic=float(worst),
+        passed=all(d["passed"] for d in details.values()),
+        statistic=float(max(0.0, drift_worst / 1e-10, tmax / 3.0, ref_worst)),
         tolerance="drift quadrature <= 1e-10; mass ratio and reference means within 3 SE",
         sizes={
             "n_runs": n_runs,
             "n_particles": n_particles,
-            "quad_order": quad_order,
-            "n_ref_paths": n_ref_paths,
-            "subchecks": list(subchecks),
+            "quad_order": _ZAKAI_QUAD_ORDER,
+            "n_ref_paths": _ZAKAI_REF_PATHS,
         },
         seed=seed,
         negative_control=negative_control,
@@ -383,12 +366,7 @@ def check_zakai(
     )
 
 
-def _reference_martingale_stats(
-    scenario: ValidatedScenario,
-    params: LinearModelParams,
-    n_ref_paths: int,
-    seed: int,
-) -> dict:
+def _reference_martingale_stats(scenario: ValidatedScenario, params: LinearModelParams, seed: int) -> dict:
     """Mean of the telescoped remainder for phi(x) = x under increments
     drawn from the pure-noise law.
 
@@ -415,15 +393,15 @@ def _reference_martingale_stats(
     params_ref = replace(params, R=[[r_ref]])
 
     rng = rngs.stream(seed, rngs.REFERENCE_OBS)
-    dys = np.sqrt(r_ref) * rng.standard_normal((n_ref_paths, len(times)))
+    dys = np.sqrt(r_ref) * rng.standard_normal((_ZAKAI_REF_PATHS, len(times)))
     bel = filter_events_vectorized(params_ref, scenario.x0, dys, times)
     pv = bel.pred_var - r_ref  # (K,) noiseless predictive variance
-    gammas = gamma_gaussian(bel.pred_mean, pv, r_ref, dys)  # (n_ref_paths, K)
-    log_mass_pre = np.concatenate([np.zeros((n_ref_paths, 1)), np.cumsum(-gammas, axis=1)[:, :-1]], axis=1)
+    gammas = gamma_gaussian(bel.pred_mean, pv, r_ref, dys)  # (_ZAKAI_REF_PATHS, K)
+    log_mass_pre = np.concatenate([np.zeros((_ZAKAI_REF_PATHS, 1)), np.cumsum(-gammas, axis=1)[:, :-1]], axis=1)
     increments = np.exp(log_mass_pre) * (np.exp(-gammas) * bel.post_mean - bel.pre_mean)
     m_vals = np.cumsum(increments, axis=1)  # remainder at checkpoints just after each event
     means = m_vals.mean(axis=0)
-    ses = m_vals.std(axis=0, ddof=1) / np.sqrt(n_ref_paths)
+    ses = m_vals.std(axis=0, ddof=1) / np.sqrt(_ZAKAI_REF_PATHS)
     return {
         "checkpoint_times": times.tolist(),
         "means": means.tolist(),
@@ -435,12 +413,13 @@ def _reference_martingale_stats(
 # ---------------------------------------------------------------------------
 # event-measure compensator
 
+_COMPENSATOR_QUAD_ORDER = 24
+
 
 def check_compensator(
     scenario: ValidatedScenario,
     n_paths: int = 10_000,
     seed: int | None = None,
-    quad_order: int = 24,
     negative_control: bool = False,
 ) -> CheckReport:
     """Realized event sums vs their predictable projections, per weight.
@@ -470,7 +449,7 @@ def check_compensator(
     beliefs = filter_events_vectorized(params, scenario.x0, ens.dy[:, :, 0], event_times)
     mu = {name: np.zeros(n_paths) for name in weights}
     nu = {name: np.zeros(n_paths) for name in weights}
-    std_pts, w = gaussian_quad_points(0.0, 1.0, quad_order)
+    std_pts, w = gaussian_quad_points(0.0, 1.0, _COMPENSATOR_QUAD_ORDER)
     for i, ti in enumerate(event_times):
         pred_var = beliefs.pred_var[i] * variance_scale
         nodes = beliefs.pred_mean[:, i, None] + np.sqrt(pred_var) * std_pts[None, :]
@@ -495,7 +474,7 @@ def check_compensator(
         passed=bool(all_pass),
         statistic=float(stat),
         tolerance="|mean (W*mu) - (W*nu)| <= 3 paired SE per weight",
-        sizes={"n_paths": n_paths, "quad_order": quad_order, "n_events": len(event_times), "variance_scale": variance_scale},
+        sizes={"n_paths": n_paths, "quad_order": _COMPENSATOR_QUAD_ORDER, "n_events": len(event_times), "variance_scale": variance_scale},
         seed=seed,
         negative_control=negative_control,
         details={"weights": rows},

@@ -47,6 +47,8 @@ _BOUNDARY_FRACTION = 0.02
 _BOUNDARY_TOL = 1e-6
 _MASS_TOL = 1e-8
 _INIT_SD_NODES = 3.0  # initial point mass widened to a 3-node Gaussian
+_PILOT_PATHS = 2048
+_PILOT_MAX_STEPS = 400
 
 
 @dataclass
@@ -106,27 +108,22 @@ def _require_scalar(scenario: ValidatedScenario) -> None:
         raise UnsupportedScenario("the grid filter supports scalar state and observation only")
 
 
-def estimate_domain(
-    scenario: ValidatedScenario,
-    halfwidth_sds: float | None = None,
-    n_pilot: int = 2048,
-    max_steps: int = 400,
-) -> tuple[float, float]:
-    """Domain from an unconditioned pilot cloud: envelope of mean +/- k sd.
+def estimate_domain(scenario: ValidatedScenario) -> tuple[float, float]:
+    """Domain from an unconditioned pilot cloud: envelope of mean +/- k sd,
+    k = `grid_halfwidth_sds`.
 
     Jumps are applied unconditionally at every candidate event time, which
     over-spreads relative to the conditional law and errs toward a wide
     domain.  Deterministic for a fixed scenario seed.
     """
     _require_scalar(scenario)
-    if halfwidth_sds is None:
-        halfwidth_sds = scenario.filters.grid_halfwidth_sds
+    k = scenario.filters.grid_halfwidth_sds
     rng = rngs.stream(scenario.seed, rngs.PILOT)
     horizon = scenario.horizon
-    dt = max(scenario.dt, horizon / max_steps)
+    dt = max(scenario.dt, horizon / _PILOT_MAX_STEPS)
     candidate = [t for t in scenario.schedule.candidate_times if t <= horizon + 1e-12]
 
-    x = np.full(n_pilot, float(scenario.x0[0]))
+    x = np.full(_PILOT_PATHS, float(scenario.x0[0]))
     lo = hi = float(scenario.x0[0])
     law = scenario.jump_law
     t = 0.0
@@ -134,27 +131,26 @@ def estimate_domain(
     while t < horizon - 1e-12:
         while ci < len(candidate) and candidate[ci] <= t + 1e-12:
             if not law.xi_is_zero:
-                xi = law.sample_xi_marginal(rng, n_pilot).reshape(n_pilot)
+                xi = law.sample_xi_marginal(rng, _PILOT_PATHS).reshape(_PILOT_PATHS)
                 cvals = scenario.jump_coeff(x[:, None])[:, 0, 0]
                 x = x + cvals * xi
             ci += 1
         h = min(dt, horizon - t)
-        z = rng.standard_normal(n_pilot)
+        z = rng.standard_normal(_PILOT_PATHS)
         xcol = x[:, None]
         x = x + scenario.drift(xcol)[:, 0] * h + scenario.diffusion(xcol)[:, 0, 0] * np.sqrt(h) * z
         t += h
         mu, sd = float(x.mean()), float(x.std())
-        lo = min(lo, mu - halfwidth_sds * sd, float(x.min()))
-        hi = max(hi, mu + halfwidth_sds * sd, float(x.max()))
+        lo = min(lo, mu - k * sd, float(x.min()))
+        hi = max(hi, mu + k * sd, float(x.max()))
     pad = 0.05 * (hi - lo) + 1e-6
     return lo - pad, hi + pad
 
 
-def init_density(x_nodes: np.ndarray, x0: float, sd: float | None = None) -> GridDensity:
+def init_density(x_nodes: np.ndarray, x0: float) -> GridDensity:
     """Narrow Gaussian standing in for the point mass at x0."""
     x_nodes = np.asarray(x_nodes, dtype=float)
-    if sd is None:
-        sd = _INIT_SD_NODES * float(x_nodes[1] - x_nodes[0])
+    sd = _INIT_SD_NODES * float(x_nodes[1] - x_nodes[0])
     p = np.exp(-0.5 * ((x_nodes - x0) / sd) ** 2)
     dens = GridDensity(x_nodes, p)
     dens.p /= dens.mass()
@@ -225,12 +221,22 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.nda
     z2 = ((x[:, None] - mu) / sd) ** 2
     band = np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=np.zeros_like(z2))
     del z2
-    source = sliding_window_view(np.arange(G + 2 * h), width)  # padded source index of band[j, s]
-    sums = np.bincount(source.ravel(), band.ravel(), minlength=G + 2 * h)
+    sums = _source_sums(band, 1.0)
     sums[sums == 0.0] = 1.0
     band /= sliding_window_view(sums, width)
     np.add.at(band, (point_t, point_s + h), point_w)
     return band
+
+
+def _source_sums(band: np.ndarray, v) -> np.ndarray:
+    """Per padded source index i, the sum of band[j, s] v[j] over j + s = i:
+    one band column at a time, added into the padded output at its shift.
+    The last column goes first, so each sum runs over j in ascending order."""
+    G, width = band.shape
+    out, term = np.zeros(G + width - 1), np.empty(G)
+    for s in reversed(range(width)):
+        out[s : s + G] += np.multiply(band[:, s], v, out=term)
+    return out
 
 
 def _apply_band(density: GridDensity, band: np.ndarray, steps: int = 1) -> np.ndarray:
@@ -284,28 +290,21 @@ def _check_density(density: GridDensity, where: str, check_boundary: bool = True
     return density
 
 
-def grid_propagate(
-    density: GridDensity,
-    scenario: ValidatedScenario,
-    delta_t: float,
-    substep: float | None = None,
-) -> GridDensity:
-    """Event-free evolution over delta_t: whole substeps (default: the
-    scenario's simulation step), then one step of what is left, as the
-    particles and the simulator do."""
+def grid_propagate(density: GridDensity, scenario: ValidatedScenario, delta_t: float) -> GridDensity:
+    """Event-free evolution over delta_t: whole steps of the scenario's
+    simulation step dt, then one step of what is left, as the particles and
+    the simulator do."""
     _require_scalar(scenario)
     if delta_t < 0:
         raise NegativeDt(f"delta_t must be nonnegative, got {delta_t}")
     if delta_t == 0.0:
         return density.copy()
-    if substep is None:
-        substep = scenario.dt
-    x = density.x
+    x, dt = density.x, scenario.dt
     model = scenario.config.model
-    steps = int((delta_t + 1e-9) // substep)
-    rest = delta_t - steps * substep
+    steps = int((delta_t + 1e-9) // dt)
+    rest = delta_t - steps * dt
     spec = {"drift": model.drift, "diffusion": model.diffusion}
-    band = _memo_band(spec, x, substep, lambda: _transition_band(scenario, x, substep))
+    band = _memo_band(spec, x, dt, lambda: _transition_band(scenario, x, dt))
     out = GridDensity(x, _apply_band(density, band, steps))
     if rest > 1e-9:
         # the rest's width varies by float noise, so it is not memoized
@@ -339,8 +338,7 @@ def _gaussian_jump_band(scenario: ValidatedScenario, x: np.ndarray, eta_hat: np.
 def _band_adjoint(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """J^T v for the kernel J that `_apply_band` applies to masses."""
     G, h = band.shape[0], band.shape[1] // 2
-    source = sliding_window_view(np.arange(G + 2 * h), band.shape[1])
-    return np.bincount(source.ravel(), (band * v[:, None]).ravel())[h : h + G]
+    return _source_sums(band, v)[h : h + G]
 
 
 def _apply_jump_convolution(density: GridDensity, scenario: ValidatedScenario, eta_hat: np.ndarray) -> np.ndarray:
@@ -394,7 +392,6 @@ def grid_nu_integral(
     scenario: ValidatedScenario,
     phi,
     y_pre: float,
-    order: int | None = None,
 ) -> float:
     """Integral of S(phi)(y) = E[phi(X_post) | dy = y] - E_pre[phi] against
     the predictive law of dy: Gauss-Hermite nodes anchored at its mean and
@@ -411,8 +408,7 @@ def grid_nu_integral(
     law = scenario.jump_law
     if not law.eta_has_density:
         raise UnsupportedScenario("predictive-law integral needs a measurement-noise density")
-    if order is None:
-        order = scenario.filters.quad_order_event
+    order = scenario.filters.quad_order_event
     x, p = density_pre.x, density_pre.p
     f_vals = scenario.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
     mean_y = float(np.trapezoid(p * f_vals, x))
@@ -448,7 +444,6 @@ def grid_run_filter(
     scenario: ValidatedScenario,
     events,
     reporting_times=None,
-    substep: float | None = None,
     n_nodes: int | None = None,
     domain: tuple[float, float] | None = None,
     collect_densities: bool = False,
@@ -458,8 +453,6 @@ def grid_run_filter(
     _require_scalar(scenario)
     x_nodes = make_grid(scenario, n_nodes=n_nodes, domain=domain)
     dens = init_density(x_nodes, float(scenario.x0[0]))
-    if substep is None:
-        substep = scenario.dt
     if reporting_times is None:
         reporting_times = scenario.reporting_times
 
@@ -473,7 +466,7 @@ def grid_run_filter(
     def advance(t_target: float) -> None:
         nonlocal t_cur, dens
         if t_target - t_cur > 1e-12:
-            dens = grid_propagate(dens, scenario, t_target - t_cur, substep)
+            dens = grid_propagate(dens, scenario, t_target - t_cur)
             t_cur = t_target
 
     def update(event, index: int) -> None:

@@ -14,7 +14,6 @@ signal-jump covariance Q.  Two orderings are provided:
         Matches simulation, where dy reads the pre-jump state.
     jump_then_observe: gain built from P- + Q.  Kept for comparison runs.
 
-Matrix-valued states propagate by RK4 on the coupled mean/covariance ODE.
 The covariance recursion does not read the data, so a belief may carry
 one mean (m,) or a block of means (P, m) for P paths under one shared
 covariance: `propagate` and `jump_update` serve one path in `run_filter`
@@ -154,51 +153,31 @@ def linear_params_from_scenario(scenario: ValidatedScenario) -> LinearModelParam
     )
 
 
-def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float, dt_sub: float = 1e-3) -> GaussianBelief:
-    """Event-free moment flow over delta_t (closed form when scalar).
+def propagate(belief: GaussianBelief, params: LinearModelParams, delta_t: float) -> GaussianBelief:
+    """Event-free moment flow over delta_t, in closed form; scalar only.
 
     The mean may be one path (m,) or a block (P, m); the covariance is shared.
     """
+    if not params.scalar:
+        raise IncompatibleMethod("exact propagation is scalar-only")
     if delta_t < 0:
         raise NegativeDt(f"propagation interval must be nonnegative, got {delta_t}")
     if delta_t == 0.0:
         return belief
-    if params.scalar:
-        lam = float(params.lam[0, 0])
-        sig2 = float(params.sigma_x[0, 0]) ** 2
-        u = float(params.drift_const[0])
-        m0 = belief.mean
-        p0 = float(belief.cov[0, 0])
-        if abs(lam) < 1e-14:
-            mean = m0 + u * delta_t
-            var = p0 + sig2 * delta_t
-        else:
-            stat_mean = u / lam
-            stat_var = sig2 / (2.0 * lam)
-            mean = stat_mean + (m0 - stat_mean) * np.exp(-lam * delta_t)
-            var = stat_var + (p0 - stat_var) * np.exp(-2.0 * lam * delta_t)
-        return GaussianBelief(belief.time + delta_t, mean, np.array([[max(var, 0.0)]]))
-
-    # matrix case: RK4 on dm = (-lam m + u) dt, dP = (-lam P - P lam^T + sig sig^T) dt;
-    # (M @ mean.T).T is M @ mean for one path and the same product per row of a block
-    lam, u = params.lam, params.drift_const
-    sig2 = params.sigma_x @ params.sigma_x.T
-    mean, cov = belief.mean.copy(), belief.cov.copy()
-    n_sub = max(1, int(np.ceil(delta_t / dt_sub - 1e-12)))
-    h = delta_t / n_sub
-
-    def rhs(state):
-        mm, pp = state
-        return ((-lam @ mm.T).T + u, -lam @ pp - pp @ lam.T + sig2)
-
-    for _ in range(n_sub):
-        k1 = rhs((mean, cov))
-        k2 = rhs((mean + 0.5 * h * k1[0], cov + 0.5 * h * k1[1]))
-        k3 = rhs((mean + 0.5 * h * k2[0], cov + 0.5 * h * k2[1]))
-        k4 = rhs((mean + h * k3[0], cov + h * k3[1]))
-        mean = mean + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        cov = cov + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return GaussianBelief(belief.time + delta_t, mean, _project_psd(cov))
+    lam = float(params.lam[0, 0])
+    sig2 = float(params.sigma_x[0, 0]) ** 2
+    u = float(params.drift_const[0])
+    m0 = belief.mean
+    p0 = float(belief.cov[0, 0])
+    if abs(lam) < 1e-14:
+        mean = m0 + u * delta_t
+        var = p0 + sig2 * delta_t
+    else:
+        stat_mean = u / lam
+        stat_var = sig2 / (2.0 * lam)
+        mean = stat_mean + (m0 - stat_mean) * np.exp(-lam * delta_t)
+        var = stat_var + (p0 - stat_var) * np.exp(-2.0 * lam * delta_t)
+    return GaussianBelief(belief.time + delta_t, mean, np.array([[max(var, 0.0)]]))
 
 
 def jump_update(

@@ -191,13 +191,12 @@ def ks_update(
     scenario: ValidatedScenario,
     dy: np.ndarray,
     y_pre: np.ndarray,
-    resample_threshold: float = 0.5,
     index: int = 0,
 ) -> EventRecord:
     """Normalized-mode event: Bayes reweight, resample if needed, jump."""
     if ensemble.mode != "normalized":
         raise IncompatibleMethod("ks_update requires a normalized ensemble")
-    return _event_update(ensemble, scenario, dy, y_pre, resample_threshold, index, unnormalized=False)
+    return _event_update(ensemble, scenario, dy, y_pre, index, unnormalized=False)
 
 
 def zakai_update(
@@ -205,7 +204,6 @@ def zakai_update(
     scenario: ValidatedScenario,
     dy: np.ndarray,
     y_pre: np.ndarray,
-    resample_threshold: float = 0.5,
     index: int = 0,
 ) -> EventRecord:
     """Unnormalized-mode event: likelihood-ratio reweight, mass tracked."""
@@ -213,7 +211,7 @@ def zakai_update(
         raise IncompatibleMethod("zakai_update requires an unnormalized ensemble")
     if not scenario.jump_law.eta_has_density:
         raise IncompatibleMethod("unnormalized mode needs a measurement-noise density (atomic noise laws are rejected)")
-    return _event_update(ensemble, scenario, dy, y_pre, resample_threshold, index, unnormalized=True)
+    return _event_update(ensemble, scenario, dy, y_pre, index, unnormalized=True)
 
 
 def _event_update(
@@ -221,7 +219,6 @@ def _event_update(
     scenario: ValidatedScenario,
     dy: np.ndarray,
     y_pre: np.ndarray,
-    resample_threshold: float,
     index: int,
     unnormalized: bool,
 ) -> EventRecord:
@@ -260,7 +257,7 @@ def _event_update(
             raise WeightCollapse(f"all particle likelihoods vanished at event {index}")
         ensemble.log_w = log_w - log_total
 
-    ess_pre, resampled = _maybe_resample(ensemble, resample_threshold)
+    ess_pre, resampled = _maybe_resample(ensemble, scenario.filters.resample_threshold)
     if resampled:
         eta_hat = dy[None, :] - scenario.obs_fn(ensemble.x, y_pre)
     _apply_jumps(ensemble, scenario, eta_hat)
@@ -364,7 +361,6 @@ def run_particle_filter(
     n_particles: int | None = None,
     seed: int | None = None,
     reporting_times=None,
-    resample_threshold: float | None = None,
     phis=(),
     run_label: int = 0,
     snapshot_times=(),
@@ -379,11 +375,8 @@ def run_particle_filter(
     """
     if method not in ("ks", "zakai"):
         raise ValidationError("method must be 'ks' or 'zakai'")
-    settings = scenario.filters
     if n_particles is None:
-        n_particles = settings.n_particles
-    if resample_threshold is None:
-        resample_threshold = settings.resample_threshold
+        n_particles = scenario.filters.n_particles
     mode = "normalized" if method == "ks" else "unnormalized"
     ens = init_ensemble(scenario, n_particles, seed=seed, mode=mode, run_label=run_label)
     if antithetic:
@@ -404,7 +397,7 @@ def run_particle_filter(
     snapshots: list = []
 
     def update(event, index: int) -> None:
-        event_records.append(event_update(ens, scenario, event.dy, event.y_pre, resample_threshold, index=index))
+        event_records.append(event_update(ens, scenario, event.dy, event.y_pre, index=index))
 
     def emit(side: str) -> None:
         rows["t"].append(ens.time)

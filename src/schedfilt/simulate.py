@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedScenario,
     ValidationError,
 )
-from .model import DiscreteMarks, ValidatedScenario
+from .model import ValidatedScenario
 
 __all__ = [
     "ObservationEvent",
@@ -51,6 +51,8 @@ _MERGE_TOL = 1e-9
 # Paths a simulate_batch block steps together: about 1 MB per (2001, P, m)
 # array for a scalar model of 2,000 steps.
 BLOCK_PATHS = 64
+# Paths a run_ensemble chunk steps together.
+CHUNK_PATHS = 4000
 # Normals a block holds at once: its (P, T, m) tile buffer is about 8 MB.
 # That is the whole horizon of a simulate_batch block, and 262 steps of a
 # 4,000-path scalar run_ensemble chunk.
@@ -174,24 +176,15 @@ def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
     return rows
 
 
-def _draws(scenario: ValidatedScenario, seed: int, paths, n_marks: int, antithetic: bool = False):
+def _draws(scenario: ValidatedScenario, seed: int, paths, n_marks: int):
     """Diffusion generators (P,) and marks xi (P, n_marks, m), eta (P,
     n_marks, n) for the path ids `paths`, each path from its own streams,
-    its marks in one draw.  With `antithetic`, an odd path negates the
-    draws of the path before it and has no generator (None)."""
-    m, n, P = scenario.m, scenario.n, len(paths)
-    xi, eta = np.empty((P, n_marks, m)), np.empty((P, n_marks, n))
-    drawn = [p for p in paths if not (antithetic and p % 2)]
-    diffusion = rngs.streams(seed, rngs.PATH_DIFFUSION, drawn)
-    marks = rngs.streams(seed, rngs.PATH_MARKS, drawn)
-    gens = []
-    for j, p in enumerate(paths):
-        if antithetic and p % 2:
-            gens.append(None)
-            xi[j], eta[j] = -xi[j - 1], -eta[j - 1]
-            continue
-        gens.append(next(diffusion))
-        xi[j], eta[j] = scenario.jump_law.sample_marks(next(marks), n_marks)
+    its marks in one draw."""
+    P = len(paths)
+    xi, eta = np.empty((P, n_marks, scenario.m)), np.empty((P, n_marks, scenario.n))
+    gens = list(rngs.streams(seed, rngs.PATH_DIFFUSION, paths))
+    for j, rng in enumerate(rngs.streams(seed, rngs.PATH_MARKS, paths)):
+        xi[j], eta[j] = scenario.jump_law.sample_marks(rng, n_marks)
     return gens, xi, eta
 
 
@@ -201,17 +194,14 @@ def _tile_steps(n_paths: int, m: int, n_steps: int) -> int:
 
 def _normals(gens, m: int, n_steps: int) -> Iterator[np.ndarray]:
     """Yield the (P, m) normals of each step in turn.  They are drawn a
-    tile of `_tile_steps` steps at a time into one buffer: row j from
-    generator j, or the negated row before it where the generator is None."""
+    tile of `_tile_steps` steps at a time into one buffer, row j from
+    generator j."""
     T = _tile_steps(len(gens), m, n_steps)
     tile = np.empty((len(gens), T, m))
     for lo in range(0, n_steps, T):
         L = min(T, n_steps - lo)
         for j, gen in enumerate(gens):
-            if gen is None:
-                np.negative(tile[j - 1, :L], out=tile[j, :L])
-            else:
-                gen.standard_normal(out=tile[j, :L])
+            gen.standard_normal(out=tile[j, :L])
         yield from tile.swapaxes(0, 1)[:L]
 
 
@@ -307,8 +297,6 @@ def run_ensemble(
     *,
     checkpoint_times=(),
     integrands=(),
-    antithetic: bool = False,
-    chunk_size: int = 4000,
 ) -> EnsembleResult:
     """Simulate many paths at once, keeping per-path reproducibility.
 
@@ -317,7 +305,7 @@ def run_ensemble(
     deterministic schedules are supported here; integrands g are (N, m) ->
     (N,) maps accumulated as trapezoid integrals of g(X_s) ds with the
     pre-jump value closing the segment that ends at an event.  The paths
-    run in chunks of `chunk_size`; a chunk holds its paths' generators,
+    run in chunks of `CHUNK_PATHS`; a chunk holds its paths' generators,
     marks and current states plus one tile of normals (`TILE_NORMALS`),
     not its whole horizon of normals.
     """
@@ -325,15 +313,7 @@ def run_ensemble(
         raise UnsupportedScenario("run_ensemble supports deterministic schedules only")
     if not isinstance(n_paths, Integral) or n_paths < 0:
         raise ValidationError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
-    if not isinstance(chunk_size, Integral) or chunk_size < 1:
-        raise ValidationError(f"chunk_size must be a positive integer, got {chunk_size!r}")
-    if antithetic and n_paths % 2:
-        raise ValidationError("antithetic ensembles need an even number of paths")
-    if antithetic and isinstance(scenario.jump_law, DiscreteMarks):
-        raise UnsupportedScenario("antithetic pairing is undefined for discrete mark laws")
 
-    if antithetic:
-        chunk_size += chunk_size % 2  # a mirrored pair must share a chunk
     seed = scenario.seed if seed is None else seed
     event_times, _ = _scheduled_times(scenario)
     t = build_time_grid(scenario.horizon, scenario.dt, event_times)
@@ -349,9 +329,9 @@ def run_ensemble(
         event_times=np.asarray(event_times),
         **{name: np.empty((n_paths, K, d)) for name, d in dims.items()},
     )
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        draws = _draws(scenario, seed, range(lo, hi), K, antithetic)
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
+        draws = _draws(scenario, seed, range(lo, hi), K)
         x, _, integrals, fired = _euler(scenario, t, draws, event_rows, ckpt_rows, integrands)
         del draws  # free the chunk's generators before the next chunk seeds its own
         out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x.swapaxes(0, 1), integrals.swapaxes(0, 1)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from schedfilt import diagnostics, model
+from schedfilt import cli, diagnostics, model
 from schedfilt.errors import UnsupportedScenario, ValidationError
 
 
@@ -67,6 +67,23 @@ def test_path_checks_refuse_too_few_paths(ou_scenario, check, n_paths):
         check(ou_scenario, n_paths=n_paths)
 
 
+def test_martingale_on_saturated_phi_is_unsupported(ou_scenario, tmp_path, capsys):
+    # tanh is flat at x ~ 1e3, so M_s is constant over the paths and the
+    # (1, X_s, M_s) increment regression is rank-deficient
+    cfg = ou_scenario.config
+    far = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, x0=(1e3,)))
+    with pytest.raises(UnsupportedScenario, match="rank-deficient.*tanh"):
+        diagnostics.check_martingale_Mphi(model.validate(far), n_paths=4000)
+
+    path = tmp_path / "far.json"
+    path.write_text(model.scenario_to_json(far))
+    argv = ["diagnose", str(path), "--checks", "martingale", "--paths", "4000", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "rank-deficient" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_zakai_passes_and_rejects(ou_scenario):
     rep = diagnostics.check_zakai(ou_scenario, n_runs=2, n_particles=5000)
     assert rep.passed, rep.details
@@ -88,8 +105,9 @@ def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
         return traj
 
     monkeypatch.setattr(diagnostics, "run_particle_filter", broken_se)
-    rep = diagnostics.check_zakai(ou_scenario, n_runs=1, n_particles=500, subchecks=("mass_jump",))
+    rep = diagnostics.check_zakai(ou_scenario, n_runs=1, n_particles=500)
     assert not rep.passed
+    assert not rep.details["mass_jump"]["passed"]
     assert rep.details["mass_jump"]["rows"][0]["tstat"] == np.inf
 
 

@@ -177,6 +177,63 @@ def test_cold_filter_memory_peak(ou_scenario):
     assert peak < 128e6
 
 
+def test_nu_integral_memory_peak(ou_scenario):
+    # the band adjoint adds one band column at a time: a (2000, 949) jump
+    # band of 15.2 MB needs no band-sized temporary.  The first call builds
+    # and keeps the band, so only the second is traced.
+    x = grid.make_grid(ou_scenario)
+    dens = grid.grid_propagate(grid.init_density(x, 1.0), ou_scenario, 0.5)
+    phi = testfns.battery_function("tanh", 1)
+    grid.grid_nu_integral(dens, ou_scenario, phi, 0.0)
+    tracemalloc.start()
+    try:
+        grid.grid_nu_integral(dens, ou_scenario, phi, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.size == 2000
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _dense(band):
+    """The G x G kernel J that `_apply_band` applies to masses:
+    J[j, j + s - h] = band[j, s]."""
+    G, width = band.shape
+    h = width // 2
+    J = np.zeros((G, G))
+    for j in range(G):
+        for s in range(width):
+            if 0 <= j + s - h < G:
+                J[j, j + s - h] = band[j, s]
+    return J
+
+
+def test_band_adjoint_equals_dense_transpose(ou_scenario):
+    x = np.linspace(-2.0, 4.0, 120)
+    v = np.cos(3.0 * x)
+    for band in (grid._transition_band(ou_scenario, x, 0.05), grid._gaussian_jump_band(ou_scenario, x)):
+        assert band.shape[1] > 3
+        np.testing.assert_allclose(grid._band_adjoint(band, v), _dense(band).T @ v, rtol=0, atol=1e-15)
+
+
+def test_kernel_rows_spread_unit_mass():
+    # smooth rows, pointlike stencils and splats, and rows whose whole
+    # support lies off the grid, which carry no mass
+    x = np.linspace(0.0, 1.0, 80)
+    dx = x[1] - x[0]
+    k = np.arange(x.size)
+    means = x + 0.3 * np.sin(k)
+    means[::11] = 2.5
+    sigmas = dx * (0.05 + 3.0 * (k % 7) / 6.0)
+    band = grid._kernel_rows(x, means, sigmas)
+    mass = _dense(band).sum(axis=0)  # what each source puts on all targets
+    supported = np.abs(mass) > 0.0
+    assert 0 < supported.sum() < x.size
+    np.testing.assert_allclose(mass[supported], 1.0, rtol=0, atol=1e-15)
+    off_grid = (sigmas > grid._SMOOTH_SIGMA_FACTOR * dx) & (means - grid._TAIL_SDS * sigmas > x[-1])
+    assert off_grid.any() and not supported[off_grid].any()
+
+
 def test_boundary_leak_detected(ou_scenario):
     x = np.linspace(0.9, 1.1, 101)
     dens = grid.init_density(x, 1.0)

@@ -41,34 +41,15 @@ def test_propagate_zero_rate_branch():
     assert float(out.cov[0, 0]) == pytest.approx(0.2 + 0.25 * 0.4, abs=1e-12)
 
 
-def test_matrix_propagation_against_ode_solver():
-    # 2-D moment flow vs an independent stiff-tolerance ODE solve
-    from scipy.integrate import solve_ivp
-
-    lam = np.array([[1.0, 0.3], [0.0, 0.5]])
-    sig = np.array([[0.4, 0.0], [0.1, 0.3]])
+def test_propagate_rejects_matrix_params():
+    # the closed form is scalar; a 2-D linear model has no exact propagation
     params = kalman.LinearModelParams(
-        lam=lam, sigma_x=sig, A=np.eye(2), C=np.zeros((2, 2)),
-        Q=0.01 * np.eye(2), R=0.01 * np.eye(2), drift_const=np.array([0.2, -0.1]),
+        lam=np.eye(2), sigma_x=0.3 * np.eye(2), A=np.eye(2), C=np.zeros((2, 2)),
+        Q=0.01 * np.eye(2), R=0.01 * np.eye(2),
     )
-    m0 = np.array([1.0, -1.0])
-    p0 = np.array([[0.2, 0.05], [0.05, 0.1]])
-    belief = kalman.GaussianBelief(0.0, m0, p0)
-    out = kalman.propagate(belief, params, 0.7)
-
-    def rhs(_, state):
-        m = state[:2]
-        p = state[2:].reshape(2, 2)
-        dm = -lam @ m + np.array([0.2, -0.1])
-        dp = -lam @ p - p @ lam.T + sig @ sig.T
-        return np.concatenate([dm, dp.reshape(-1)])
-
-    sol = solve_ivp(rhs, (0.0, 0.7), np.concatenate([m0, p0.reshape(-1)]),
-                    rtol=1e-11, atol=1e-13)
-    ref_m = sol.y[:2, -1]
-    ref_p = sol.y[2:, -1].reshape(2, 2)
-    np.testing.assert_allclose(out.mean, ref_m, atol=1e-8)
-    np.testing.assert_allclose(out.cov, ref_p, atol=1e-8)
+    belief = kalman.GaussianBelief(0.0, np.array([1.0, -1.0]), 0.1 * np.eye(2))
+    with pytest.raises(IncompatibleMethod, match="scalar"):
+        kalman.propagate(belief, params, 0.7)
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,7 +62,7 @@ def test_two_atom_bayes_enumeration(ou_scenario):
     # closed-form posterior that the update must reproduce exactly
     xs, dy, r = [0.2, 1.0], 0.9, 0.01
     ens = _hand_ensemble(xs, [0.5, 0.5])
-    particle.ks_update(ens, ou_scenario, dy=[dy], y_pre=[1.0], resample_threshold=0.0)
+    particle.ks_update(ens, ou_scenario.with_overrides(resample_threshold=0.0), dy=[dy], y_pre=[1.0])
     lik = np.exp(-((dy - np.asarray(xs)) ** 2) / (2 * r))
     np.testing.assert_allclose(ens.weights, lik / lik.sum(), atol=1e-12)
 
@@ -70,7 +70,7 @@ def test_two_atom_bayes_enumeration(ou_scenario):
 def test_three_atom_zakai_mass_oracle(ou_scenario):
     xs, w, dy, r = [0.2, 0.6, 1.1], [0.5, 0.3, 0.2], 0.4, 0.01
     ens = _hand_ensemble(xs, w, mode="unnormalized")
-    rec = particle.zakai_update(ens, ou_scenario, dy=[dy], y_pre=[1.0], resample_threshold=0.0)
+    rec = particle.zakai_update(ens, ou_scenario.with_overrides(resample_threshold=0.0), dy=[dy], y_pre=[1.0])
 
     dens = norm.pdf(dy - np.asarray(xs), scale=np.sqrt(r))
     ref = norm.pdf(dy, scale=np.sqrt(r))
@@ -187,13 +187,13 @@ def test_resample_trigger_matches_record(ou_scenario):
     # skew is exactly what the resampler sees
     skew = np.array([0.99] + [0.01 / 9] * 9)
     ens = _hand_ensemble([0.4] * 10, skew)
-    rec = particle.ks_update(ens, ou_scenario, dy=[0.9], y_pre=[1.0], resample_threshold=0.5)
+    rec = particle.ks_update(ens, ou_scenario.with_overrides(resample_threshold=0.5), dy=[0.9], y_pre=[1.0])
     assert rec.resampled
     assert rec.ess_pre == pytest.approx(particle.effective_sample_size(skew), rel=1e-10)
     np.testing.assert_allclose(ens.weights, 0.1, atol=1e-14)
 
     ens2 = _hand_ensemble([0.4] * 10, skew)
-    rec2 = particle.ks_update(ens2, ou_scenario, dy=[0.9], y_pre=[1.0], resample_threshold=0.0)
+    rec2 = particle.ks_update(ens2, ou_scenario.with_overrides(resample_threshold=0.0), dy=[0.9], y_pre=[1.0])
     assert not rec2.resampled
     np.testing.assert_allclose(ens2.weights, skew, atol=1e-12)
 
@@ -265,6 +265,18 @@ def test_antithetic_requires_even_count(ou_scenario):
         particle.run_particle_filter(
             ou_scenario, result.events, n_particles=101, antithetic=True
         )
+
+
+def test_antithetic_filter_draws_mirrored_jumps(ou_scenario):
+    # at an event the conditional jump marks are drawn by size, not into a
+    # buffer; the antithetic generator mirrors those blocks too
+    gen = particle._AntitheticGenerator(np.random.default_rng(3))
+    z = gen.standard_normal((6, 2))
+    np.testing.assert_array_equal(z[3:], -z[:3])
+    events = simulate.simulate_path(ou_scenario, path_id=0).events
+    traj = particle.run_particle_filter(ou_scenario, events, n_particles=200, antithetic=True)
+    assert len(traj.events) == len(events) > 0
+    assert np.isfinite(traj.means).all()
 
 
 def _reference_propagate(x, rng, scenario, t, t_end, antithetic):

@@ -287,40 +287,7 @@ def test_ensemble_integrals_match_trapezoid_free_run(ou_scenario):
         assert float(ens.integrals[p, 0, 0]) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_antithetic_reduces_mean_variance(medical_scenario):
-    # nonlinear diffusion (ensembles need a deterministic schedule, so swap
-    # the medical model onto fixed event times): mirrored pairs should
-    # still cut the variance of the ensemble mean noticeably
-    cfg = dataclasses.replace(
-        medical_scenario.config,
-        schedule=model.Schedule(kind="deterministic", times=(0.5, 1.0)),
-        horizon=1.5,
-    )
-    scn = model.validate(cfg)
-    n = 2000
-    plain = simulate.run_ensemble(scn, n, checkpoint_times=[1.25])
-    anti = simulate.run_ensemble(scn, n, checkpoint_times=[1.25], antithetic=True)
-    x_plain = plain.x_checkpoints[:, 0, 0]
-    x_anti = anti.x_checkpoints[:, 0, 0]
-    var_plain = float(np.var(np.mean(x_plain.reshape(-1, 2), axis=1)))
-    var_anti = float(np.var(np.mean(x_anti.reshape(-1, 2), axis=1)))
-    assert var_anti < 0.7 * var_plain
-
-
-def test_antithetic_rejected_for_discrete_marks():
-    cfg = PRESETS["ou_kalman"]()
-    cfg = _override_model(
-        cfg,
-        jump_law=model.JumpLawSpec(kind="discrete", points=((0.1, 0.05),), probs=(1.0,)),
-    )
-    scn = model.validate(cfg)
-    with pytest.raises(Exception):
-        simulate.run_ensemble(scn, 4, checkpoint_times=[0.4], antithetic=True)
-
-
 def test_run_ensemble_typed_errors(ou_scenario):
-    with pytest.raises(ValidationError, match="even number"):
-        simulate.run_ensemble(ou_scenario, 3, antithetic=True)
     with pytest.raises(ValidationError, match="checkpoint"):
         simulate.run_ensemble(ou_scenario, 2, checkpoint_times=[0.4005])
 
@@ -335,13 +302,10 @@ def test_ensemble_deterministic(ou_scenario):
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"chunk_size": -2}, "chunk_size"),
-        ({"chunk_size": 0}, "chunk_size"),
-        ({"chunk_size": 2.5}, "chunk_size"),
         ({"n_paths": -3}, "n_paths"),
         ({"n_paths": 5.0}, "n_paths"),
     ],
-    ids=["chunk_size_negative", "chunk_size_zero", "chunk_size_fractional", "n_paths_negative", "n_paths_float"],
+    ids=["n_paths_negative", "n_paths_float"],
 )
 def test_run_ensemble_rejects_bad_sizes(ou_scenario, kwargs, match):
     kwargs = {"n_paths": 5, **kwargs}
@@ -370,17 +334,17 @@ def _ensemble_scenarios(euler_scenarios):
     return scenarios
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_ensemble_in_tiles_of_7_steps_is_bit_identical(euler_scenarios, monkeypatch, antithetic):
+def test_ensemble_in_tiles_of_7_steps_is_bit_identical(euler_scenarios, monkeypatch):
     # 7 divides none of the grids, so every run has a short last tile; chunks
     # of 4 of 6 paths leave a short last chunk.  Unpatched, so few paths draw
     # their whole horizon in one tile.
     from schedfilt import testfns
 
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 4)
     for name, scn in _ensemble_scenarios(euler_scenarios).items():
         checkpoints = [0.4, scn.horizon]
         lphi = testfns.diffusion_generator(testfns.battery_function("tanh", scn.m), scn)
-        kwargs = dict(checkpoint_times=checkpoints, integrands=[lphi], antithetic=antithetic, chunk_size=4)
+        kwargs = dict(checkpoint_times=checkpoints, integrands=[lphi])
         whole = simulate.run_ensemble(scn, 6, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_tile_steps", lambda n_paths, m, n_steps: 7)
@@ -389,8 +353,6 @@ def test_ensemble_in_tiles_of_7_steps_is_bit_identical(euler_scenarios, monkeypa
             np.testing.assert_array_equal(
                 getattr(tiled, field.name), getattr(whole, field.name), err_msg=f"{name} {field.name}"
             )
-        if antithetic:
-            continue
         for p in range(6):
             res = simulate.simulate_path(scn, path_id=p)
             for ci, t in enumerate(checkpoints):
@@ -469,8 +431,7 @@ def test_simulate_path_matches_reference_euler(euler_scenarios, medical_firing_s
             )
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
+def test_run_ensemble_matches_reference_euler(euler_scenarios, monkeypatch):
     scenarios = _with_off_lattice_events(euler_scenarios)
     # ensembles need a deterministic schedule
     scenarios["medical"] = model.validate(
@@ -479,9 +440,9 @@ def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
         )
     )
     n_paths = 4
+    monkeypatch.setattr(simulate, "CHUNK_PATHS", 3)  # a short last chunk
     for name, scn in scenarios.items():
-        # chunks of 3 paths: an antithetic pair must not be split across chunks
-        ens = simulate.run_ensemble(scn, n_paths, checkpoint_times=[scn.horizon], antithetic=antithetic, chunk_size=3)
+        ens = simulate.run_ensemble(scn, n_paths, checkpoint_times=[scn.horizon])
         t = simulate.build_time_grid(scn.horizon, scn.dt, ens.event_times)
         rows = [int(np.argmin(np.abs(t - s))) for s in ens.event_times]
         z = np.stack(
@@ -490,8 +451,6 @@ def test_run_ensemble_matches_reference_euler(euler_scenarios, antithetic):
                 for p in range(n_paths)
             ]
         )
-        if antithetic:
-            z[1::2] = -z[0::2]
         jumps = {k: [ens.xi[:, i]] for i, k in enumerate(rows)}
         xs, x_pre = _reference_euler(scn, t, z, jumps, _einsum_jump)
         np.testing.assert_array_equal(ens.x_checkpoints[:, 0], xs[:, -1], err_msg=name)
