@@ -9,8 +9,9 @@ renormalizes, and then pushes the density through the law of x + c(x) xi
 with xi drawn from the mark law conditioned on the residual dy - f(x, y_pre):
 a Gaussian band for Gaussian marks, one linear splat per atom for discrete
 ones.  The bands of the transition and of the unconditional Gaussian jump
-depend only on the scenario, the grid and the step, so the last few built
-are kept.
+depend only on the scenario, the grid and the step, so those of the grid
+in use are kept; a filter on other nodes drops them.  A band is built a
+block of rows at a time, so a build costs the band and little more.
 
 Rows of every kernel are mass-normalized, so propagation conserves mass
 by construction; a separate check keeps the outer 2% of nodes below a
@@ -49,6 +50,9 @@ _MASS_TOL = 1e-8
 _INIT_SD_NODES = 3.0  # initial point mass widened to a 3-node Gaussian
 _PILOT_PATHS = 2048
 _PILOT_MAX_STEPS = 400
+# Band entries a kernel build evaluates at once: each of its scratch arrays
+# is 128 KB, 17 rows of the (2000, 949) ou_kalman jump band.
+BAND_BLOCK_ENTRIES = 2**14
 
 
 @dataclass
@@ -198,13 +202,20 @@ def _pointlike_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> tup
     return targets, weights
 
 
+def _block_rows(width: int) -> int:
+    return max(1, BAND_BLOCK_ENTRIES // width)
+
+
 def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Band of the kernel whose row k spreads unit mass from source k over
     the targets: band[j, h + s] is the weight source j + s puts on target j.
 
     A row is N(means[k], sigmas[k]^2) on the nodes within _TAIL_SDS sd of
     its mean, normalized; a row with no node there is zero.  Rows with
-    sigma below _SMOOTH_SIGMA_FACTOR dx are pointlike stencils."""
+    sigma below _SMOOTH_SIGMA_FACTOR dx are pointlike stencils.  The
+    Gaussian weights are evaluated `_block_rows` target rows at a time
+    straight into the band, so the build holds the band and one block of
+    scratch, not band-sized temporaries."""
     G = x.size
     dx = float(x[1] - x[0])
     k = np.arange(G)
@@ -218,9 +229,12 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.nda
     width = 2 * h + 1
     mu = sliding_window_view(np.pad(np.where(hit, means, np.inf), h, constant_values=np.inf), width)
     sd = sliding_window_view(np.pad(np.where(hit, sigmas, 1.0), h, constant_values=1.0), width)
-    z2 = ((x[:, None] - mu) / sd) ** 2
-    band = np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=np.zeros_like(z2))
-    del z2
+    band = np.zeros((G, width))
+    rows = _block_rows(width)
+    for lo in range(0, G, rows):
+        block = slice(lo, lo + rows)
+        z2 = ((x[block, None] - mu[block]) / sd[block]) ** 2
+        np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=band[block])
     sums = _source_sums(band, 1.0)
     sums[sums == 0.0] = 1.0
     band /= sliding_window_view(sums, width)
@@ -259,9 +273,14 @@ _BANDS_MAX = 4
 
 
 def _memo_band(spec: dict, x: np.ndarray, width: float, build) -> np.ndarray:
-    """The band of a time-homogeneous kernel, built by build() on a miss;
-    the last _BANDS_MAX bands used are kept."""
-    key = (json.dumps(spec, sort_keys=True, default=str), float(x[0]), float(x[-1]), x.size, float(width))
+    """The band of a time-homogeneous kernel, built by build() on a miss.
+
+    Only bands on the nodes x are kept, the last _BANDS_MAX used: a request
+    on other nodes drops every band kept before it builds."""
+    nodes = (float(x[0]), float(x[-1]), x.size)
+    key = (json.dumps(spec, sort_keys=True, default=str), *nodes, float(width))
+    if _BANDS and next(iter(_BANDS))[1:4] != nodes:
+        _BANDS.clear()
     band = _BANDS.pop(key, None)
     _BANDS[key] = build() if band is None else band
     if len(_BANDS) > _BANDS_MAX:

@@ -111,6 +111,23 @@ def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
     assert rep.details["mass_jump"]["rows"][0]["tstat"] == np.inf
 
 
+def test_reference_noise_lift(ou_scenario):
+    # the preset's r = 0.01 is lifted toward the fixed point of
+    # r <- 1.3 max(P^-(r) - r) and stops at the 8th iterate, still rising;
+    # at r = 1.0 the margin already holds, so the noise is kept
+    params = diagnostics.linear_params_from_scenario(ou_scenario)
+    lifted = diagnostics._reference_martingale_stats(ou_scenario, params, 0)["reference_noise_variance"]
+    assert lifted == pytest.approx(0.152908849, rel=0, abs=5e-10)
+    times = np.asarray(ou_scenario.schedule.times, dtype=float)
+    probe = diagnostics.filter_events_vectorized(
+        dataclasses.replace(params, R=[[lifted]]), ou_scenario.x0, np.zeros((1, times.size)), times
+    )
+    assert lifted < 1.3 * float(np.max(probe.pred_var - lifted)) < lifted * (1 + 1e-6)
+
+    unit = dataclasses.replace(params, R=[[1.0]])
+    assert diagnostics._reference_martingale_stats(ou_scenario, unit, 0)["reference_noise_variance"] == 1.0
+
+
 def test_reports_are_deterministic(ou_scenario):
     a = diagnostics.check_compensator(ou_scenario, n_paths=500, seed=42)
     b = diagnostics.check_compensator(ou_scenario, n_paths=500, seed=42)

@@ -195,6 +195,63 @@ def test_nu_integral_memory_peak(ou_scenario):
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_cold_medical_filter_memory_peak(medical_scenario):
+    # c(x) = x makes the jump band (2000, 3999), 64 MB: the build must not
+    # hold band-sized temporaries beside it (202 MB traced when it did)
+    def visit(index, time, dy, y_pre):
+        zero = np.zeros(1)
+        return simulate.ObservationEvent(index, time, np.array([dy]), np.array([y_pre]), zero, zero, zero)
+
+    events = [visit(1, 0.5, -0.2, 0.0), visit(2, 1.5, -0.3, -0.2)]
+    lo, hi = grid.estimate_domain(medical_scenario)
+    tracemalloc.start()
+    try:
+        grid.grid_run_filter(medical_scenario, events, domain=(lo - 0.0123, hi + 0.0123))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert medical_scenario.filters.grid_nodes == 2000
+    assert peak < 100e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_kernel_build_memory_peak(ou_scenario):
+    # rows are evaluated a block at a time into the band: the (2000, 949)
+    # jump band's build holds little beside the band itself
+    x = grid.make_grid(ou_scenario)
+    sigmas = np.full(x.size, np.sqrt(ou_scenario.jump_law.cond_cov[0, 0]))
+    tracemalloc.start()
+    try:
+        band = grid._kernel_rows(x, x, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (2000, 949)
+    assert peak < 1.5 * band.nbytes, f"traced peak {peak / band.nbytes:.2f} bands"
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2000])
+def test_band_build_does_not_depend_on_block_size(rows, euler_scenarios, monkeypatch):
+    monkeypatch.setattr(grid, "_memo_band", lambda spec, x, width, build: build())
+    for name in ("ou_kalman", "credit_risk", "njode_style", "medical"):
+        scn = euler_scenarios[name]
+        x = grid.make_grid(scn)
+        whole = [grid._transition_band(scn, x, scn.dt), grid._gaussian_jump_band(scn, x)]
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "_block_rows", lambda width: rows)
+            blocked = [grid._transition_band(scn, x, scn.dt), grid._gaussian_jump_band(scn, x)]
+        for kind, a, b in zip(("transition", "jump"), blocked, whole):
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} {kind}")
+
+
+def test_bands_kept_are_those_of_the_grid_in_use(ou_scenario):
+    events = simulate.simulate_path(ou_scenario, path_id=0).events
+    for domain in ((-2.5, 4.5), (-3.0, 5.0)):
+        traj = grid.grid_run_filter(ou_scenario, events, n_nodes=300, domain=domain)
+    assert grid._BANDS
+    for key in grid._BANDS:
+        assert key[1:4] == (float(traj.x[0]), float(traj.x[-1]), traj.x.size)
+
+
 def _dense(band):
     """The G x G kernel J that `_apply_band` applies to masses:
     J[j, j + s - h] = band[j, s]."""
