@@ -68,13 +68,14 @@ def _cells(column) -> list[str]:
     return [str(v) for v in column.tolist()]
 
 
-def _write_csv(path: Path, header: list, columns) -> None:
-    """Write a CSV file from its columns, all of one length."""
+def _write_csv(path: Path, header: list, columns) -> str:
+    """Write a CSV file from its columns, all of one length; returns its name."""
     cells = [_cells(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cells))
+    return path.name
 
 
 def _load_scenario(source: str) -> tuple[ValidatedScenario, str]:
@@ -158,15 +159,15 @@ def cmd_simulate(args) -> int:
 
     # one simulate_path call a path, the unit perfbench/tracer.py times and
     # counts steps on; simulate_batch would step them as blocks
+    written = []
     for p in range(args.paths):
         result = simulate_path(scenario, path_id=p, seed=seed)
-        _write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p))
-        _write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n))
+        written.append(_write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p)))
+        written.append(_write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n)))
         for msg in result.warnings:
             print(f"path {p}: {msg}", file=sys.stderr)
-    names = [f"{kind}_{p:04d}.csv" for p in range(args.paths) for kind in ("path", "events")]
-    _write_manifest(out, args, canonical, seed, names)
-    print(f"wrote {2 * args.paths} files to {out}")
+    _write_manifest(out, args, canonical, seed, written)
+    print(f"wrote {len(written)} files to {out}")
     return 0
 
 
@@ -209,16 +210,10 @@ def _kalman_columns(traj, m: int, n: int) -> list:
     T = len(traj.sides)
     index = np.zeros(T, dtype=int)
     innovation = np.full((T, n + n * n + m * n), None, dtype=object)
-    ev_iter, current = iter(traj.events), None
-    for k, side in enumerate(traj.sides):
-        if side == "pre":
-            current = next(ev_iter)
-        if side != "interior" and current is not None:
-            index[k] = current.index
-            if side == "post":
-                parts = (current.innovation, current.innovation_cov, current.gain)
-                innovation[k] = np.concatenate([np.ravel(part) for part in parts])
-                current = None
+    pre_rows = [k for k, side in enumerate(traj.sides) if side == "pre"]
+    for k, ev in zip(pre_rows, traj.events):  # each post row follows its pre row
+        index[k : k + 2] = ev.index
+        innovation[k + 1] = np.concatenate([np.ravel(part) for part in (ev.innovation, ev.innovation_cov, ev.gain)])
     return [traj.times, traj.sides, *traj.means.T, *traj.covs.reshape(T, m * m).T, index, *innovation.T]
 
 
@@ -265,11 +260,8 @@ def cmd_filter(args) -> int:
         events = _load_events(Path(args.events), args.path_id, n)
     else:
         events = simulate_path(scenario, path_id=args.path_id, seed=seed).events
-    _write_csv(
-        out / "events_used.csv",
-        ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)],
-        _event_columns(events, args.path_id, n),
-    )
+    event_header = ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)]
+    written = [_write_csv(out / "events_used.csv", event_header, _event_columns(events, args.path_id, n))]
 
     reporting = scenario.reporting_times
     columns: dict[str, dict] = {}
@@ -289,7 +281,7 @@ def cmd_filter(args) -> int:
                     + [f"S_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
                     + [f"K_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
                 )
-                _write_csv(out / file_for[method], header, _kalman_columns(traj, m, n))
+                written.append(_write_csv(out / file_for[method], header, _kalman_columns(traj, m, n)))
                 columns["kalman_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
                 columns["kalman_P"] = _final_by_time(traj.times, traj.sides, traj.covs[:, 0, 0])
             elif method in ("ks-particle", "zakai-particle"):
@@ -306,7 +298,7 @@ def cmd_filter(args) -> int:
                     phis=phis,
                 )
                 header = ["t", "phi_name", "estimate", "estimate_se", "ess", "log_rho1"]
-                _write_csv(out / file_for[method], header, _particle_columns(traj, [p.name for p in phis]))
+                written.append(_write_csv(out / file_for[method], header, _particle_columns(traj, [p.name for p in phis])))
                 key = "ks_m" if mode == "ks" else "zakai_m"
                 columns[key] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
             elif method == "grid":
@@ -314,12 +306,12 @@ def cmd_filter(args) -> int:
                     scenario, events, reporting, n_nodes=args.nodes, collect_densities=args.dump_density
                 )
                 grid_columns = [traj.times, traj.sides, traj.means[:, 0], traj.vars[:, 0]]
-                _write_csv(out / file_for[method], ["t", "side", "mean", "var"], grid_columns)
+                written.append(_write_csv(out / file_for[method], ["t", "side", "mean", "var"], grid_columns))
                 if args.dump_density:
-                    _write_csv(out / "grid_density.csv", ["t", "side", "node_x", "p"], _density_columns(traj))
+                    written.append(_write_csv(out / "grid_density.csv", ["t", "side", "node_x", "p"], _density_columns(traj)))
                 columns["grid_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
                 columns["grid_P"] = _final_by_time(traj.times, traj.sides, traj.vars[:, 0])
-        except (IncompatibleMethod, UnsupportedScenario) as exc:
+        except UnsupportedScenario as exc:
             if args.method != "all":
                 raise
             skipped.append(method)
@@ -333,17 +325,9 @@ def cmd_filter(args) -> int:
     if args.method == "all":
         col_names = [c for c in ("kalman_m", "kalman_P", "ks_m", "zakai_m", "grid_m", "grid_P") if c in columns]
         times = sorted(set().union(*(columns[c] for c in col_names)))
-        _write_csv(
-            out / "comparison.csv",
-            ["t"] + col_names,
-            [times] + [[columns[c].get(t) for t in times] for c in col_names],
-        )
-    names = [file_for[meth] for meth in ran] + ["events_used.csv"]
-    if args.method == "all":
-        names.append("comparison.csv")
-    if args.dump_density and "grid" in ran:
-        names.append("grid_density.csv")
-    _write_manifest(out, args, canonical, seed, names)
+        comparison = [times] + [[columns[c].get(t) for t in times] for c in col_names]
+        written.append(_write_csv(out / "comparison.csv", ["t"] + col_names, comparison))
+    _write_manifest(out, args, canonical, seed, written)
 
     print(f"ran {', '.join(ran)} on {len(events)} events; output in {out}")
     if skipped:
@@ -454,7 +438,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (IncompatibleMethod, UnsupportedScenario) as exc:
+    except UnsupportedScenario as exc:
         print(f"incompatible: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

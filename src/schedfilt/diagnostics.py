@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rngs, simulate, testfns
-from .errors import IncompatibleMethod, UnsupportedScenario, ValidationError
+from .errors import UnsupportedScenario, ValidationError
 from .kalman import LinearModelParams, filter_events_vectorized, linear_params_from_scenario
 from .model import ValidatedScenario
 from .particle import gamma_gaussian, run_particle_filter
@@ -291,10 +291,7 @@ def check_zakai(
     density-ratio exponent; compensated_drift and mass_jump must then
     reject it.
     """
-    try:
-        params = linear_params_from_scenario(scenario)
-    except IncompatibleMethod as exc:
-        raise UnsupportedScenario(f"check_zakai needs a linear-Gaussian scenario: {exc}") from exc
+    params = linear_params_from_scenario(scenario)  # raises IncompatibleMethod
     if seed is None:
         seed = scenario.seed
     r = float(params.R[0, 0])
@@ -326,17 +323,22 @@ def check_zakai(
         )
         for i, rec in enumerate(traj.events):
             pv = float(pv_noiseless[i]) * (2.0 if negative_control else 1.0)
-            expected = float(np.exp(-gamma_gaussian(float(beliefs.pred_mean[0, i]), pv, r, float(dys[0, i]))))
-            # a zero or non-finite SE, or an overflowed ratio, tests nothing: fail it
-            testable = 0.0 < rec.mass_ratio_se < np.inf and np.isfinite(rec.mass_ratio)
+            log_expected = -gamma_gaussian(float(beliefs.pred_mean[0, i]), pv, r, float(dys[0, i]))
+            log_ratio, rel_se = rec.log_mass_post - rec.log_mass_pre, rec.mass_ratio_rel_se
+            # |R - E| / SE with SE = R rel_se, in logs; a zero or non-finite
+            # SE or ratio tests nothing, and a gap too wide for a float reads
+            # inf: both fail
+            testable = 0.0 < rel_se < np.inf and np.isfinite(log_ratio)
+            with np.errstate(over="ignore"):
+                tstat = float(abs(np.expm1(log_expected - log_ratio)) / rel_se) if testable else np.inf
             jump_rows.append(
                 {
                     "run": run,
                     "event": i + 1,
-                    "ratio": rec.mass_ratio,
-                    "expected": expected,
-                    "se": rec.mass_ratio_se,
-                    "tstat": abs(rec.mass_ratio - expected) / rec.mass_ratio_se if testable else np.inf,
+                    "log_ratio": log_ratio,
+                    "log_expected": log_expected,
+                    "relative_se": rel_se,
+                    "tstat": tstat,
                 }
             )
     drift_worst = max(abs(v) for v in drift_vals) if drift_vals else 0.0

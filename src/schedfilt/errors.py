@@ -57,8 +57,8 @@ class UnsupportedScenario(SchedFiltError):
     """The scenario is valid but outside what this component supports."""
 
 
-class IncompatibleMethod(SchedFiltError):
-    """The requested filter cannot be applied to the scenario."""
+class IncompatibleMethod(UnsupportedScenario):
+    """The requested filter or check cannot be applied to the scenario."""
 
 
 class ZeroConditionalMass(SchedFiltError):

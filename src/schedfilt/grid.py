@@ -311,8 +311,10 @@ def _check_density(density: GridDensity, where: str, check_boundary: bool = True
 
 def grid_propagate(density: GridDensity, scenario: ValidatedScenario, delta_t: float) -> GridDensity:
     """Event-free evolution over delta_t: whole steps of the scenario's
-    simulation step dt, then one step of what is left, as the particles and
-    the simulator do."""
+    simulation step dt, then one step of what is left, as the particles do.
+    The simulator differs: it steps a lattice of multiples of dt from 0
+    with the event times inserted, so after an event off that lattice its
+    first step is partial."""
     _require_scalar(scenario)
     if delta_t < 0:
         raise NegativeDt(f"delta_t must be nonnegative, got {delta_t}")
@@ -476,11 +478,6 @@ def grid_run_filter(
         reporting_times = scenario.reporting_times
 
     t_cur = 0.0
-    rows_t: list[float] = []
-    sides: list[str] = []
-    means: list[float] = []
-    variances: list[float] = []
-    densities: list[np.ndarray] | None = [] if collect_densities else None
 
     def advance(t_target: float) -> None:
         nonlocal t_cur, dens
@@ -493,20 +490,16 @@ def grid_run_filter(
         dy, y_pre = (float(np.asarray(v).reshape(-1)[0]) for v in (event.dy, event.y_pre))
         dens = grid_event_update(dens, scenario, dy, y_pre)
 
-    def emit(side: str) -> None:
-        rows_t.append(t_cur)
-        sides.append(side)
-        means.append(dens.mean())
-        variances.append(dens.var())
-        if densities is not None:
-            densities.append(dens.p.copy())
+    def row(side: str) -> tuple:
+        return dens.mean(), dens.var(), dens.p.copy() if collect_densities else None
 
-    walk_events(events, reporting_times, advance, update, emit)
+    times, sides, rows = walk_events(events, reporting_times, advance, update, row)
+    means, variances, densities = zip(*rows)
     return GridTrajectory(
-        times=np.asarray(rows_t),
+        times=np.asarray(times),
         sides=sides,
         means=np.asarray(means).reshape(-1, 1),
         vars=np.asarray(variances).reshape(-1, 1),
-        densities=densities,
+        densities=list(densities) if collect_densities else None,
         x=x_nodes,
     )

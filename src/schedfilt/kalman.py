@@ -248,10 +248,6 @@ def run_filter(
         params = linear_params_from_scenario(scenario)
     belief = GaussianBelief(0.0, scenario.x0.astype(float).copy(), np.zeros((params.m, params.m)))
 
-    times: list[float] = []
-    sides: list[str] = []
-    means: list[np.ndarray] = []
-    covs: list[np.ndarray] = []
     updates: list[EventUpdate] = []
 
     def advance(t: float) -> None:
@@ -263,13 +259,10 @@ def run_filter(
         belief, record = jump_update(belief, params, event.dy, event.y_pre, ordering, index=index)
         updates.append(record)
 
-    def emit(side: str) -> None:
-        times.append(belief.time)
-        sides.append(side)
-        means.append(belief.mean.copy())
-        covs.append(belief.cov.copy())
-
-    walk_events(events, reporting_times, advance, update, emit)
+    times, sides, rows = walk_events(
+        events, reporting_times, advance, update, lambda side: (belief.mean.copy(), belief.cov.copy())
+    )
+    means, covs = zip(*rows)
     return KalmanTrajectory(
         times=np.asarray(times),
         sides=sides,

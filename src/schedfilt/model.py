@@ -475,33 +475,46 @@ def _validate_filter_settings(fs: FilterSettings) -> None:
 # the event/reporting walk shared by every filter
 
 
-def walk_events(events, reporting_times, advance, update, emit) -> None:
-    """Walk a filter through its events and reporting times.
+def walk_events(events, reporting_times, advance, update, row) -> tuple[list, list, list]:
+    """Walk a filter through its events and reporting times, recording rows.
 
     Rows: one "interior" row at t = 0; a "pre" and a "post" row at each
-    event, in time order; an "interior" row at each reporting time more
-    than 1e-12 past the previous row, so a reporting time at 0, at an event
-    or repeated adds none.  Events up to 1e-12 past a reporting time come
-    before its row; events after the last one are still applied.
+    event, in time order, the post row right after the pre row; an
+    "interior" row at each reporting time more than 1e-12 past the previous
+    row, so a reporting time at 0, at an event or repeated adds none.
+    Events up to 1e-12 past a reporting time come before its row; events
+    after the last one are still applied.
 
     advance(t) moves the filter to t, update(event, index) applies one
-    event (index from 1 in time order) and emit(side) records a row.
+    event (index from 1 in time order) and row(side) returns the values
+    the filter records at a row.  Returns the rows' times (the event or
+    reporting time the walk is at), their sides and the values of row.
     """
     pending = sorted(events, key=lambda e: float(e.time))
+    times: list[float] = []
+    sides: list[str] = []
+    rows: list = []
+
+    def record(t: float, side: str) -> None:
+        times.append(t)
+        sides.append(side)
+        rows.append(row(side))
+
     t_row, i = 0.0, 0
-    emit("interior")
+    record(t_row, "interior")
     for t in [*sorted(float(t) for t in reporting_times), np.inf]:
         while i < len(pending) and float(pending[i].time) <= t + 1e-12:
             t_row = float(pending[i].time)
             advance(t_row)
-            emit("pre")
+            record(t_row, "pre")
             update(pending[i], i + 1)
-            emit("post")
+            record(t_row, "post")
             i += 1
         if np.isfinite(t) and t - t_row > 1e-12:
             advance(t)
-            emit("interior")
+            record(t, "interior")
             t_row = t
+    return times, sides, rows
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,9 @@ class EventRecord:
     time: float
     ess_pre: float
     resampled: bool
-    log_mass_pre: float
+    log_mass_pre: float  # log rho(1) before the event, 0.0 in normalized mode
     log_mass_post: float
-    mass_ratio: float | None  # unnormalized mode: rho_post(1)/rho_pre(1)
-    mass_ratio_se: float | None
+    mass_ratio_rel_se: float | None  # unnormalized mode: SE of rho_post(1)/rho_pre(1), relative to it
 
 
 def init_ensemble(
@@ -229,33 +228,22 @@ def _event_update(
     eta_hat = dy[None, :] - scenario.obs_fn(ensemble.x, y_pre)  # (N, n)
     loglik = law.eta_log_density(eta_hat)  # (N,)
     log_mass_pre = ensemble.log_mass
-    mass_ratio = None
-    ratio_se = None
-
+    log_ref = float(law.eta_log_density(dy[None, :])[0]) if unnormalized else 0.0
+    if not np.isfinite(log_ref):
+        raise ZeroReferenceDensity(f"reference density vanished at dy={dy}")
+    log_w = ensemble.log_w + loglik
+    log_total = _logsumexp(log_w)
+    if not np.isfinite(log_total):
+        raise (ZeroMass if unnormalized else WeightCollapse)(f"all particle likelihoods vanished at event {index}")
+    rel_se = None
     if unnormalized:
-        log_ref = float(law.eta_log_density(dy[None, :])[0])
-        if not np.isfinite(log_ref):
-            raise ZeroReferenceDensity(f"reference density vanished at dy={dy}")
         # per-particle ratio r_j = exp(loglik_j - log_ref); pre-event weights
-        # are normalized, so sum(w r) is the mass ratio and its spread gives
-        # the delta-method standard error of that ratio.
-        log_wr = ensemble.log_w + loglik
-        log_total = _logsumexp(log_wr)
-        if not np.isfinite(log_total):
-            raise ZeroMass("all particle likelihood ratios vanished")
-        # r_j - R = R (exp(loglik_j - log_total) - 1), so the spread is taken
-        # relative to R and stays finite where r_j itself would overflow
-        w_pre = ensemble.weights
-        mass_ratio = float(np.exp(log_total - log_ref))
-        ratio_se = mass_ratio * float(np.sqrt(np.sum(w_pre**2 * np.expm1(loglik - log_total) ** 2)))
+        # are normalized, so R = exp(log_total - log_ref) is the mass ratio.
+        # r_j / R - 1 = expm1(loglik_j - log_total), so the delta-method
+        # standard error relative to R stays finite where r_j would overflow
+        rel_se = float(np.sqrt(np.sum(ensemble.weights**2 * np.expm1(loglik - log_total) ** 2)))
         ensemble.log_mass = log_mass_pre + log_total - log_ref
-        ensemble.log_w = log_wr - log_total
-    else:
-        log_w = ensemble.log_w + loglik
-        log_total = _logsumexp(log_w)
-        if not np.isfinite(log_total):
-            raise WeightCollapse(f"all particle likelihoods vanished at event {index}")
-        ensemble.log_w = log_w - log_total
+    ensemble.log_w = log_w - log_total
 
     ess_pre, resampled = _maybe_resample(ensemble, scenario.filters.resample_threshold)
     if resampled:
@@ -269,8 +257,7 @@ def _event_update(
         resampled=resampled,
         log_mass_pre=log_mass_pre,
         log_mass_post=ensemble.log_mass,
-        mass_ratio=mass_ratio,
-        mass_ratio_se=ratio_se,
+        mass_ratio_rel_se=rel_se,
     )
 
 
@@ -389,41 +376,32 @@ def run_particle_filter(
     snap = {round(float(t), 12) for t in snapshot_times}
     event_update = ks_update if method == "ks" else zakai_update
 
-    rows: dict[str, list] = {"t": [], "side": [], "ess": [], "log_mass": []}
-    means, variances = [], []
-    phi_est = {p.name: [] for p in phis}
-    phi_se = {p.name: [] for p in phis}
     event_records: list[EventRecord] = []
     snapshots: list = []
 
     def update(event, index: int) -> None:
         event_records.append(event_update(ens, scenario, event.dy, event.y_pre, index=index))
 
-    def emit(side: str) -> None:
-        rows["t"].append(ens.time)
-        rows["side"].append(side)
-        rows["ess"].append(ens.ess())
-        rows["log_mass"].append(ens.log_mass)
-        means.append(ens.mean())
-        variances.append(ens.var())
-        w = ens.weights
-        for p in phis:
-            vals = np.asarray(p(ens.x)).reshape(ens.n)
-            phi_est[p.name].append(float(np.sum(w * vals)))
-            phi_se[p.name].append(estimate_se(vals, w))
+    def row(side: str) -> tuple:
         if round(ens.time, 12) in snap and side != "pre":
             snapshots.append((ens.time, ens.x.copy(), ens.log_w.copy()))
+        w = ens.weights
+        vals = [np.asarray(p(ens.x)).reshape(ens.n) for p in phis]
+        estimates = [float(np.sum(w * v)) for v in vals]
+        return ens.ess(), ens.log_mass, ens.mean(), ens.var(), estimates, [estimate_se(v, w) for v in vals]
 
-    walk_events(events, reporting_times, lambda t: propagate(ens, scenario, t), update, emit)
+    times, sides, rows = walk_events(events, reporting_times, lambda t: propagate(ens, scenario, t), update, row)
+    ess, log_mass, means, variances, estimates, ses = (np.asarray(column) for column in zip(*rows))
+    names = [p.name for p in phis]
     return ParticleTrajectory(
-        times=np.asarray(rows["t"]),
-        sides=rows["side"],
-        means=np.asarray(means),
-        vars=np.asarray(variances),
-        ess=np.asarray(rows["ess"]),
-        log_mass=np.asarray(rows["log_mass"]),
-        phi_estimates={k: np.asarray(v) for k, v in phi_est.items()},
-        phi_se={k: np.asarray(v) for k, v in phi_se.items()},
+        times=np.asarray(times),
+        sides=sides,
+        means=means,
+        vars=variances,
+        ess=ess,
+        log_mass=log_mass,
+        phi_estimates=dict(zip(names, estimates.T)),
+        phi_se=dict(zip(names, ses.T)),
         events=event_records,
         snapshots=snapshots,
     )

@@ -8,12 +8,14 @@ their default sizes.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from schedfilt import cli, diagnostics, model
-from schedfilt.errors import UnsupportedScenario, ValidationError
+from schedfilt import cli, diagnostics, model, particle, simulate
+from schedfilt.errors import IncompatibleMethod, UnsupportedScenario, ValidationError
+from schedfilt.presets import build_preset
 
 
 def test_compensator_passes_and_rejects(ou_scenario):
@@ -101,7 +103,7 @@ def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
 
     def broken_se(*args, **kwargs):
         traj = run(*args, **kwargs)
-        traj.events[0] = dataclasses.replace(traj.events[0], mass_ratio_se=np.inf)
+        traj.events[0] = dataclasses.replace(traj.events[0], mass_ratio_rel_se=np.inf)
         return traj
 
     monkeypatch.setattr(diagnostics, "run_particle_filter", broken_se)
@@ -109,6 +111,36 @@ def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
     assert not rep.passed
     assert not rep.details["mass_jump"]["passed"]
     assert rep.details["mass_jump"]["rows"][0]["tstat"] == np.inf
+
+
+@pytest.mark.parametrize("x0", [1e3, 1e4])
+def test_zakai_mass_jump_is_finite_far_from_zero(ou_scenario, x0):
+    # far from 0 both the particle mass ratio and the closed-form one exceed
+    # a float; in logs the statistic stays finite.  It need not pass: the
+    # Euler paths drift from the continuous-time Kalman reference there
+    cfg = ou_scenario.config
+    far = model.validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, x0=(x0,))))
+    events = simulate.simulate_path(far, path_id=0).events
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = particle.run_particle_filter(far, events, method="zakai", n_particles=5000, reporting_times=[])
+        rep = diagnostics.check_zakai(far, n_runs=2, n_particles=5000)
+    for rec in traj.events:
+        assert np.isfinite(rec.log_mass_post) and 0.0 < rec.mass_ratio_rel_se < np.inf
+    assert np.isfinite(rep.details["mass_jump"]["worst_tstat"])
+
+
+def test_checks_outside_linear_gaussian_are_incompatible(tmp_path, capsys):
+    # njode_style observes x^2: both checks that need the exact filter say
+    # so with one error type, and the command line exits 3 on it
+    njode = build_preset("njode_style")
+    with pytest.raises(IncompatibleMethod):
+        diagnostics.check_compensator(njode, n_paths=500)
+    with pytest.raises(IncompatibleMethod):
+        diagnostics.check_zakai(njode, n_runs=1, n_particles=500)
+    argv = ["diagnose", "njode_style", "--checks", "zakai", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_reference_noise_lift(ou_scenario):

@@ -1,9 +1,11 @@
 """Row layout shared by the four filters (`model.walk_events`)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from schedfilt import grid, kalman, particle, simulate
+from schedfilt import grid, kalman, model, particle, simulate
 
 FILTERS = ("kalman", "ks", "zakai", "grid")
 
@@ -78,3 +80,18 @@ def test_row_layout(method, ou_scenario, ou_events):
     for ev in ou_events:
         at_event = np.nonzero(np.isclose(traj.times, ev.time))[0]
         assert [traj.sides[k] for k in at_event] == ["pre", "post"]
+
+
+def test_row_times_are_the_walks(ou_scenario, ou_events):
+    # the second event 4e-13 after the first, closer than the 1e-12 below
+    # which the grid does not propagate, and reporting times off the dt
+    # lattice: every filter reports the times the walk is at
+    first, second, third = ou_events
+    events = [first, dataclasses.replace(second, time=first.time + 4e-13), third]
+    reporting = [0.1234, 0.77, 1.9]
+    times, sides, _ = model.walk_events(events, reporting, lambda t: None, lambda e, i: None, lambda side: None)
+    assert times[4:6] == [first.time + 4e-13] * 2 and sides[4:6] == ["pre", "post"]
+    for method in FILTERS:
+        traj, _ = _run(method, ou_scenario, events, reporting)
+        np.testing.assert_array_equal(traj.times, times, err_msg=method)
+        assert traj.sides == sides, method
