@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -59,7 +58,10 @@ class CliError(Exception):
 
 def _cells(column) -> list[str]:
     """One CSV column as text, in one pass: floats at full round-trip
-    precision, integers and strings as they are, None (no value) empty."""
+    precision, integers and strings as they are, None (no value) empty; a
+    list of strings, such as a column formatted once for many files, is kept."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     column = np.asarray(column)
     if column.dtype.kind == "f":
         return [format(v, ".17g") for v in column.tolist()]
@@ -69,12 +71,12 @@ def _cells(column) -> list[str]:
 
 
 def _write_csv(path: Path, header: list, columns) -> str:
-    """Write a CSV file from its columns, all of one length; returns its name."""
+    """Write a CSV file from its columns, all of one length, in one call;
+    returns its name.  The bytes are those of `csv.writer` (CRLF rows), since
+    no header or cell here holds a comma, a quote or a line break."""
     cells = [_cells(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write("\r\n".join(map(",".join, [header, *zip(*cells)])) + "\r\n")
     return path.name
 
 
@@ -109,6 +111,7 @@ def _out_dir(args, subcommand: str) -> Path:
 
 def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: list) -> None:
     """Record provenance once the data files are written."""
+    import hashlib  # here, not at module level: nothing else needs it, and it adds to import time
     stamp = os.environ.get("SOURCE_DATE_EPOCH")
     manifest = {
         "tool": "schedfilt",
@@ -129,12 +132,12 @@ def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: li
 # ---------------------------------------------------------------------------
 # simulate
 
-def _path_columns(result, path_id: int) -> list:
+def _path_columns(result, path_id: int, t_cells: list) -> list:
     path = result.path
     index = np.zeros(path.t.shape[0], dtype=int)
     for k, ev in zip(path.event_rows, result.events):
         index[k] = ev.index  # a row with several events shows the last
-    return [np.full(index.shape, path_id), path.t, *path.x.T, *path.y.T, (index > 0).astype(int), index]
+    return [np.full(index.shape, path_id), t_cells, *path.x.T, *path.y.T, (index > 0).astype(int), index]
 
 
 def _event_columns(events, path_id: int, n: int) -> list:
@@ -160,9 +163,11 @@ def cmd_simulate(args) -> int:
     # one simulate_path call a path, the unit perfbench/tracer.py times and
     # counts steps on; simulate_batch would step them as blocks
     written = []
+    t_cells = None  # every path of a scenario has the same time grid
     for p in range(args.paths):
         result = simulate_path(scenario, path_id=p, seed=seed)
-        written.append(_write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p)))
+        t_cells = t_cells or _cells(result.path.t)
+        written.append(_write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p, t_cells)))
         written.append(_write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n)))
         for msg in result.warnings:
             print(f"path {p}: {msg}", file=sys.stderr)

@@ -42,6 +42,7 @@ from .errors import UnknownFunctionDescriptor
 
 __all__ = [
     "eval_scalar_expr",
+    "compile_scalar_expr",
     "compile_drift",
     "compile_matrix_fn",
     "compile_diffusion_apply",
@@ -56,34 +57,44 @@ _SCALAR_KINDS = {"const", "identity", "affine", "poly", "exp", "log", "scale", "
 
 
 def eval_scalar_expr(desc: Descriptor, x: np.ndarray) -> np.ndarray:
+    return compile_scalar_expr(desc)(x)
+
+
+def compile_scalar_expr(desc: Descriptor) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a scalar expression to x -> E(x), reading the descriptor once;
+    a call does the numpy operations of a walk of the tree, in its order."""
     kind = desc.get("kind")
     if kind == "const":
-        return np.full_like(x, float(desc["value"]), dtype=float)
+        value = float(desc["value"])
+        return lambda x: np.full_like(x, value, dtype=float)
     if kind == "identity":
-        return np.asarray(x, dtype=float)
+        return lambda x: np.asarray(x, dtype=float)
     if kind == "affine":
-        return float(desc["slope"]) * x + float(desc["intercept"])
+        slope, intercept = float(desc["slope"]), float(desc["intercept"])
+        return lambda x: slope * x + intercept
     if kind == "poly":
-        coeffs = np.asarray(desc["coeffs"], dtype=float)
-        # polyval wants highest degree first
-        return np.polyval(coeffs[::-1], x)
+        coeffs = np.asarray(desc["coeffs"], dtype=float)[::-1]  # polyval wants highest degree first
+        return lambda x: np.polyval(coeffs, x)
     if kind == "exp":
-        return np.exp(eval_scalar_expr(desc["child"], x))
+        child = compile_scalar_expr(desc["child"])
+        return lambda x: np.exp(child(x))
     if kind == "log":
-        floor = float(desc.get("floor", 1e-300))
-        return np.log(np.maximum(eval_scalar_expr(desc["child"], x), floor))
+        floor, child = float(desc.get("floor", 1e-300)), compile_scalar_expr(desc["child"])
+        return lambda x: np.log(np.maximum(child(x), floor))
     if kind == "scale":
-        return float(desc["factor"]) * eval_scalar_expr(desc["child"], x)
-    if kind == "sum":
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for child in desc["children"]:
-            out = out + eval_scalar_expr(child, x)
-        return out
-    if kind == "prod":
-        out = np.ones_like(np.asarray(x, dtype=float))
-        for child in desc["children"]:
-            out = out * eval_scalar_expr(child, x)
-        return out
+        factor, child = float(desc["factor"]), compile_scalar_expr(desc["child"])
+        return lambda x: factor * child(x)
+    if kind in ("sum", "prod"):
+        children = [compile_scalar_expr(child) for child in desc["children"]]
+        start, fold = (np.zeros_like, np.add) if kind == "sum" else (np.ones_like, np.multiply)
+
+        def fold_children(x: np.ndarray) -> np.ndarray:
+            out = start(np.asarray(x, dtype=float))
+            for child in children:
+                out = fold(out, child(x))
+            return out
+
+        return fold_children
     raise UnknownFunctionDescriptor(f"unknown scalar expression kind: {kind!r}")
 
 
@@ -91,7 +102,8 @@ def compile_drift(desc: Descriptor, m: int) -> Callable[[np.ndarray], np.ndarray
     """Compile a drift descriptor to a map (N, m) -> (N, m)."""
     kind = desc.get("kind")
     if m == 1 and kind in _SCALAR_KINDS:
-        return lambda x: eval_scalar_expr(desc, np.asarray(x, dtype=float))
+        expr = compile_scalar_expr(desc)
+        return lambda x: expr(np.asarray(x, dtype=float))
     if kind == "linear_matrix":
         mat = _as_matrix(desc["matrix"], m, m)
         return lambda x: np.einsum("ij,nj->ni", mat, x)
@@ -109,11 +121,8 @@ def compile_matrix_fn(desc: Descriptor, m: int) -> Callable[[np.ndarray], np.nda
     """Compile a diffusion / jump-loading descriptor to (N, m) -> (N, m, m)."""
     kind = desc.get("kind")
     if m == 1 and kind in _SCALAR_KINDS:
-        def scalar_fn(x: np.ndarray) -> np.ndarray:
-            vals = eval_scalar_expr(desc, np.asarray(x, dtype=float)[..., 0])
-            return vals[..., None, None]
-
-        return scalar_fn
+        expr = compile_scalar_expr(desc)
+        return lambda x: expr(np.asarray(x, dtype=float)[..., 0])[..., None, None]
     if kind == "constant_matrix":
         mat = _as_matrix(desc["value"], m, m)
         return lambda x: np.broadcast_to(mat, x.shape[:-1] + (m, m)).copy()
@@ -145,7 +154,8 @@ def compile_diffusion_apply(desc: Descriptor, m: int, matrix_fn: Callable) -> Ca
         b = float(desc["value"])
         return lambda x, z, out=None: np.multiply(b, z, out=out)
     if m == 1 and kind in _SCALAR_KINDS:
-        return lambda x, z, out=None: np.multiply(eval_scalar_expr(desc, np.asarray(x, dtype=float)), z, out=out)
+        expr = compile_scalar_expr(desc)
+        return lambda x, z, out=None: np.multiply(expr(np.asarray(x, dtype=float)), z, out=out)
     return lambda x, z, out=None: np.einsum("nij,nj->ni", matrix_fn(x), z, out=out)
 
 
@@ -166,15 +176,8 @@ def compile_obs_fn(desc: Descriptor, m: int, n: int) -> Callable[[np.ndarray, np
     if kind == "state_expr_minus_y":
         if m != 1 or n != 1:
             raise UnknownFunctionDescriptor("state_expr_minus_y requires m = n = 1")
-        expr = desc["expr"]
-        cy = float(desc.get("c", 0.0))
-
-        def obs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            vals = eval_scalar_expr(expr, np.asarray(x, dtype=float)[..., 0])
-            y2 = np.atleast_2d(np.asarray(y, dtype=float))
-            return vals[..., None] - cy * y2
-
-        return obs
+        expr, cy = compile_scalar_expr(desc["expr"]), float(desc.get("c", 0.0))
+        return lambda x, y: expr(np.asarray(x, dtype=float)[..., 0])[..., None] - cy * np.atleast_2d(np.asarray(y, dtype=float))
     raise UnknownFunctionDescriptor(f"unknown observation descriptor kind: {kind!r}")
 
 

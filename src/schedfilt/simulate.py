@@ -15,7 +15,8 @@ blocks of whole paths (`simulate_path` is the one-path case) and
 normals are drawn a tile of steps at a time into one reused buffer of at
 most `TILE_NORMALS` values, so a chunk never holds its whole horizon of
 normals; each path's stream is still read in step order, so the tiling
-does not change a draw.
+does not change a draw.  As in `particle.propagate`, the state is checked
+to be finite at each event and at the end, not after every step.
 """
 
 from __future__ import annotations
@@ -216,7 +217,9 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     the path's i-th mark.  Returns x (S, P, m), y (S, P, n) and the
     trapezoid integrals (S, P, G) at `snap_rows`, and per event the tuple
     (row, label, paths, dy, y_pre, x_pre, xi, eta), with `paths` the block
-    rows it fired on and the arrays over those rows.
+    rows it fired on and the arrays over those rows.  A non-finite state
+    raises NumericalBlowup on arrival at the next event row or at the end:
+    inf + a and nan + a are never finite, so it stays non-finite till then.
     """
     gens, xi_all, eta_all = draws
     P, n_steps, m = len(gens), len(t) - 1, scenario.m
@@ -240,9 +243,11 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     g_prev = _eval_integrands(integrands, x) if G else None
     hs = np.diff(t)
     sqrt_hs = np.sqrt(hs)
+    checked = 0  # the row of the last finiteness check
     for k in range(n_steps + 1):
         # events fire on arrival at the row, observing the pre-jump state
         if k in at_row:
+            checked = _checked(x, t, x_out, snap_rows, checked, k)
             if thresholds is None:
                 firing = [(slice(None), i, None) for i in at_row[k]]
             else:
@@ -264,13 +269,24 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
                 int_out[s] = acc
         if k < n_steps:
             x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, next(normals)) * sqrt_hs[k]
-            if not np.isfinite(x).all():
-                raise NumericalBlowup(f"state became non-finite at t = {t[k + 1]:.6g}")
             if G:
                 g_now = _eval_integrands(integrands, x)
                 acc += 0.5 * hs[k] * (g_prev + g_now)
                 g_prev = g_now
+    _checked(x, t, x_out, snap_rows, checked, n_steps)
     return x_out, y_out, int_out, fired
+
+
+def _checked(x: np.ndarray, t: np.ndarray, x_out: np.ndarray, snap_rows, checked: int, row: int) -> int:
+    """`row` if the state x there is finite.  Else NumericalBlowup naming the
+    stretch since the check at row `checked`, narrowed by the snapshots in it;
+    with every row kept, that is the grid time of the first non-finite row."""
+    if np.isfinite(x).all():
+        return row
+    kept = [(k, np.isfinite(x_out[s]).all()) for s, k in enumerate(snap_rows) if checked < k < row]
+    lo, hi = max([checked] + [k for k, ok in kept if ok]), min([row] + [k for k, ok in kept if not ok])
+    where = f"at t = {t[hi]:.6g}" if hi <= lo + 1 else f"in ({t[lo]:.6g}, {t[hi]:.6g}]"
+    raise NumericalBlowup(f"state became non-finite {where}")
 
 
 # ---------------------------------------------------------------------------

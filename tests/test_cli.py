@@ -406,3 +406,58 @@ def test_help_and_version(tmp_path, run_cli):
     ver = run_cli(["--version"], tmp_path)
     assert ver.returncode == 0, ver.stderr
     assert "schedfilt" in ver.stdout
+
+
+def test_simulate_blowup_exits_1_in_one_line(tmp_path, run_cli):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg["model"]["drift"] = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
+    cfg["model"]["x0"] = [10.0]
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "sim"
+    proc = run_cli(["simulate", str(path), "--paths", "2", "--out", str(out)], tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    # numpy's overflow warnings may come first; the error is one line
+    failed = [line for line in proc.stderr.splitlines() if line.startswith("run failed:")]
+    assert failed == ["run failed: state became non-finite at t = 0.114"], proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
+def _csv_writer_bytes(path: Path, header, columns) -> bytes:
+    """The bytes csv.writer gives for these columns, each formatted by
+    cli._cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*[cli._cells(column) for column in columns]))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (
+            ["t", "side", "x", "i", "v"],
+            [
+                np.array([-0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf]),
+                ["interior", "pre", "post", "interior", "pre", "post"],
+                np.array(["pre", "post", "interior", "pre", "post", "interior"]),
+                np.array([0, -3, 7, 2**40, 1, 2]),
+                np.array([None, 1.5, None, -0.0, 2.0, np.nan], dtype=object),
+            ],
+        ),
+        (["path_id", "t"], [np.zeros(0, dtype=int), np.zeros(0)]),
+        (["t", "kalman_m"], [[0.5, 1.0], [None, 0.25]]),
+        (["t", "x"], [cli._cells(np.array([0.1, 0.2])), np.array([1e-17, -2.5])]),
+    ],
+    ids=["every_cell_kind", "no_rows", "lists", "formatted_column"],
+)
+def test_csv_bytes_are_csv_writers(tmp_path, header, columns):
+    cli._write_csv(tmp_path / "fast.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(tmp_path / "slow.csv", header, columns)
+
+
+def test_csv_rows_end_in_crlf(tmp_path):
+    assert cli._write_csv(tmp_path / "a.csv", ["a", "b"], [np.array([-0.0, 0.5]), [None, 2]]) == "a.csv"
+    assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n-0,\r\n0.5,2\r\n"

@@ -112,3 +112,95 @@ def test_poly_matches_horner(coeffs, x):
     direct = sum(c * x**k for k, c in enumerate(coeffs))
     got = float(functions.eval_scalar_expr(desc, np.array([x]))[0])
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def _walk(desc, x):
+    """The evaluator compile_scalar_expr replaced, kept as the oracle: it
+    walks the descriptor tree, reading each kind and value, on every call."""
+    kind = desc.get("kind")
+    if kind == "const":
+        return np.full_like(x, float(desc["value"]), dtype=float)
+    if kind == "identity":
+        return np.asarray(x, dtype=float)
+    if kind == "affine":
+        return float(desc["slope"]) * x + float(desc["intercept"])
+    if kind == "poly":
+        return np.polyval(np.asarray(desc["coeffs"], dtype=float)[::-1], x)
+    if kind == "exp":
+        return np.exp(_walk(desc["child"], x))
+    if kind == "log":
+        floor = float(desc.get("floor", 1e-300))
+        return np.log(np.maximum(_walk(desc["child"], x), floor))
+    if kind == "scale":
+        return float(desc["factor"]) * _walk(desc["child"], x)
+    if kind == "sum":
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for child in desc["children"]:
+            out = out + _walk(child, x)
+        return out
+    if kind == "prod":
+        out = np.ones_like(np.asarray(x, dtype=float))
+        for child in desc["children"]:
+            out = out * _walk(child, x)
+        return out
+    raise UnknownFunctionDescriptor(f"unknown scalar expression kind: {kind!r}")
+
+
+_AFFINE = {"kind": "affine", "slope": -1.5, "intercept": 0.25}
+_POLY = {"kind": "poly", "coeffs": [0.1, -2.0, 0.0, 3.0]}
+_COMPILED_CASES = [
+    {"kind": "const", "value": -0.0},
+    {"kind": "const", "value": 3.5},
+    {"kind": "identity"},
+    _AFFINE,
+    _POLY,
+    {"kind": "poly", "coeffs": [2.0]},
+    {"kind": "exp", "child": _AFFINE},
+    {"kind": "log", "child": {"kind": "identity"}},
+    {"kind": "log", "child": _POLY, "floor": 1e-12},
+    {"kind": "scale", "factor": -2.5, "child": _POLY},
+    {"kind": "sum", "children": []},
+    {"kind": "sum", "children": [{"kind": "identity"}, {"kind": "const", "value": 1.0}, _POLY]},
+    {"kind": "prod", "children": []},
+    {"kind": "prod", "children": [_AFFINE, {"kind": "identity"}, {"kind": "exp", "child": {"kind": "identity"}}]},
+    {
+        "kind": "exp",
+        "child": {
+            "kind": "scale",
+            "factor": 0.5,
+            "child": {
+                "kind": "sum",
+                "children": [
+                    {"kind": "log", "child": {"kind": "prod", "children": [_AFFINE, _AFFINE]}, "floor": 1e-300},
+                    {"kind": "prod", "children": [{"kind": "scale", "factor": 3.0, "child": _POLY}, _AFFINE]},
+                    {"kind": "exp", "child": {"kind": "log", "child": {"kind": "identity"}}},
+                ],
+            },
+        },
+    },
+]
+
+
+@pytest.mark.parametrize("desc", _COMPILED_CASES, ids=lambda d: d["kind"])
+def test_compiled_expression_equals_the_tree_walk(desc):
+    x = np.array([-1e300, -7.5e299, -3.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 7.5e299, 1e300])
+    compiled = functions.compile_scalar_expr(desc)
+    # the values near 1e300 overflow and some logs clip: inf and nan must
+    # come out where the walk puts them
+    with np.errstate(all="ignore"):
+        for arg in (x, x[:, None], x[3:4]):
+            got, want = compiled(arg), _walk(desc, arg)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(functions.eval_scalar_expr(desc, arg), want)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [{"kind": "sinh"}, {"kind": "exp", "child": {"kind": "cosh"}}, {"kind": "sum", "children": [_AFFINE, {}]}],
+)
+def test_compiling_an_unknown_kind_raises(desc):
+    with pytest.raises(UnknownFunctionDescriptor):
+        functions.compile_scalar_expr(desc)
+    with pytest.raises(UnknownFunctionDescriptor):
+        functions.eval_scalar_expr(desc, np.zeros(3))

@@ -1,6 +1,7 @@
 """Path simulation: exactness at events, determinism, schedules, ensembles."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedfilt import model, rngs, simulate
-from schedfilt.errors import ScheduleExhaustedHorizon, ValidationError
+from schedfilt.errors import NumericalBlowup, ScheduleExhaustedHorizon, ValidationError
 from schedfilt.presets import PRESETS, build_preset
 
 
@@ -290,6 +291,24 @@ def test_ensemble_integrals_match_trapezoid_free_run(ou_scenario):
 def test_run_ensemble_typed_errors(ou_scenario):
     with pytest.raises(ValidationError, match="checkpoint"):
         simulate.run_ensemble(ou_scenario, 2, checkpoint_times=[0.4005])
+
+
+# the times a finiteness check after every Euler step names: x0 = 10 blows
+# up before the first event (0.5), x0 = 1 between the first and the second,
+# x0 = 0.3 after the last (1.5)
+@pytest.mark.parametrize("x0, path_t, batch_t", [(10.0, 0.114, 0.113), (1.0, 0.819, 0.796), (0.3, 1.509, 1.509)])
+def test_blowup_is_typed_and_names_its_time(x0, path_t, batch_t):
+    scn = model.validate(_override_model(PRESETS["ou_kalman"](), drift={"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, x0=(x0,)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {path_t}$"):
+            simulate.simulate_path(scn, path_id=0)
+        # the first blowup of the block, on one of paths 1-4
+        with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {batch_t}$"):
+            list(simulate.simulate_batch(scn, range(5)))
+        with pytest.raises(NumericalBlowup) as info:
+            simulate.run_ensemble(scn, 1, checkpoint_times=(0.05, 0.25))
+    lo, hi = map(float, re.fullmatch(r"state became non-finite in \((\S+), (\S+)\]", str(info.value)).groups())
+    assert lo < path_t <= hi
 
 
 def test_ensemble_deterministic(ou_scenario):
