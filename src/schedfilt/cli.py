@@ -218,7 +218,7 @@ def _kalman_columns(traj, m: int, n: int) -> list:
     pre_rows = [k for k, side in enumerate(traj.sides) if side == "pre"]
     for k, ev in zip(pre_rows, traj.events):  # each post row follows its pre row
         index[k : k + 2] = ev.index
-        innovation[k + 1] = np.concatenate([np.ravel(part) for part in (ev.innovation, ev.innovation_cov, ev.gain)])
+        innovation[k + 1] = np.concatenate([np.ravel(part) for part in (ev.innovation, ev.pred_cov, ev.gain)])
     return [traj.times, traj.sides, *traj.means.T, *traj.covs.reshape(T, m * m).T, index, *innovation.T]
 
 
@@ -276,7 +276,7 @@ def cmd_filter(args) -> int:
     for method in methods:
         try:
             if method == "kalman":
-                traj = run_kalman_filter(scenario, events, reporting, ordering=args.ordering)
+                traj = run_kalman_filter(scenario, events, reporting)
                 header = (
                     ["t", "side"]
                     + [f"m_{i + 1}" for i in range(m)]
@@ -416,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fil.add_argument("--method", choices=FILTER_METHODS + ("all",), default="all")
     p_fil.add_argument("--events", default=None, help="events CSV to filter on (default: simulate one path)")
     p_fil.add_argument("--path-id", type=int, default=0, help="path id to simulate or select from --events")
-    p_fil.add_argument("--ordering", choices=("observe_then_jump", "jump_then_observe"),
-                       default="observe_then_jump", help="event-time update order for the exact filter")
     p_fil.add_argument("--particles", type=int, default=None, help="particle count override")
     p_fil.add_argument("--nodes", type=int, default=None, help="grid node count override")
     p_fil.add_argument("--dump-density", action="store_true", help="also dump grid densities")

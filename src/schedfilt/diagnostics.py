@@ -268,6 +268,9 @@ def check_ks_residual(
 
 _ZAKAI_QUAD_ORDER = 40
 _ZAKAI_REF_PATHS = 2000
+# the reference-noise lift rises toward its fixed point from below and never
+# reaches it; after 8 iterates it stands about 1e-7 relative under it
+_LIFT_ITERATES = 8
 
 
 def check_zakai(
@@ -375,9 +378,9 @@ def _reference_martingale_stats(scenario: ValidatedScenario, params: LinearModel
     The density-ratio weight has finite variance only when the predictive
     variance stays below twice the noise variance, so the check runs with
     the noise floor lifted to meet that margin; the lifted value is
-    recorded.  The lift r <- 1.3 max(P^-(r) - r) rises toward its fixed
-    point from below, so it stops after 8 iterates, about 1e-7 relative
-    below the 1.3 margin; a noise variance already above it is kept as is.
+    recorded.  The lift r <- max(r, 1.3 max(P^-(r) - r)) runs
+    _LIFT_ITERATES times; a noise variance already above the margin is
+    kept as is.
     For phi(x) = x the time integrals telescope exactly and the
     remainder is the sum of event increments mass * (ratio * post_mean -
     pre_mean).
@@ -387,14 +390,9 @@ def _reference_martingale_stats(scenario: ValidatedScenario, params: LinearModel
         raise UnsupportedScenario("the reference-measure check needs scheduled event times")
     times = np.asarray(sched.times, dtype=float)
     r_ref = float(params.R[0, 0])
-    for _ in range(8):
-        probe = filter_events_vectorized(
-            replace(params, R=[[r_ref]]), scenario.x0, np.zeros((1, len(times))), times
-        )
-        needed = 1.3 * float(np.max(probe.pred_var - r_ref))
-        if needed <= r_ref:
-            break
-        r_ref = needed
+    for _ in range(_LIFT_ITERATES):
+        probe = filter_events_vectorized(replace(params, R=[[r_ref]]), scenario.x0, np.zeros((1, len(times))), times)
+        r_ref = max(r_ref, 1.3 * float(np.max(probe.pred_var - r_ref)))
     params_ref = replace(params, R=[[r_ref]])
 
     rng = rngs.stream(seed, rngs.REFERENCE_OBS)

@@ -8,11 +8,7 @@ mean-reverting moment flow; with scalar state and drift -lam x + u,
 
 the variance relaxing to sig^2 / (2 lam).  At an event with increment
 dy = A x- - C y- + b + eta the update conditions on dy and then adds the
-signal-jump covariance Q.  Two orderings are provided:
-
-    observe_then_jump (default): gain built from P-, then P <- P_post + Q.
-        Matches simulation, where dy reads the pre-jump state.
-    jump_then_observe: gain built from P- + Q.  Kept for comparison runs.
+signal-jump covariance Q: dy reads the pre-jump state, as in simulation.
 
 The covariance recursion does not read the data, so a belief may carry
 one mean (m,) or a block of means (P, m) for P paths under one shared
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions
-from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS, UnknownFunctionDescriptor, ValidationError
+from .errors import IncompatibleMethod, NegativeDt, NumericalBlowup, SingularS, UnknownFunctionDescriptor
 from .model import GaussianMarks, ValidatedScenario, walk_events
 
 __all__ = [
@@ -42,8 +38,6 @@ __all__ = [
     "filter_events_vectorized",
     "VecEventBeliefs",
 ]
-
-ORDERINGS = ("observe_then_jump", "jump_then_observe")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ class EventUpdate:
     index: int
     time: float
     innovation: np.ndarray  # (n,), or (P, n)
-    innovation_cov: np.ndarray  # (n, n), from the ordering's gain stage
     gain: np.ndarray  # (m, n)
     pred_mean: np.ndarray  # (n,) or (P, n): A m- - C y- + b, pre-jump predictive mean of dY
     pred_cov: np.ndarray  # (n, n): A P- A^T + R, pre-jump predictive cov of dY
@@ -185,7 +178,6 @@ def jump_update(
     params: LinearModelParams,
     dy: np.ndarray,
     y_pre: np.ndarray,
-    ordering: str = "observe_then_jump",
     index: int = 0,
 ) -> tuple[GaussianBelief, EventUpdate]:
     """Condition on one observation increment and apply the signal jump.
@@ -193,8 +185,6 @@ def jump_update(
     For a block of P paths (mean (P, m)), dy and y_pre hold one row per
     path and the record's pred_mean and innovation are (P, n).
     """
-    if ordering not in ORDERINGS:
-        raise ValidationError(f"ordering must be one of {ORDERINGS}")
     A, C, Q, R = params.A, params.C, params.Q, params.R
     m_pre, p_pre = belief.mean, belief.cov
     rows = m_pre.shape[:-1] + (params.n,)
@@ -206,12 +196,9 @@ def jump_update(
     pred_cov = A @ p_pre @ A.T + R
     v = dy - pred_mean
 
-    p_gain = p_pre + Q if ordering == "jump_then_observe" else p_pre
-    s = A @ p_gain @ A.T + R
-    gain = _solve_gain(p_gain, A, s)
+    gain = _solve_gain(p_pre, A, pred_cov)
     mean_post = m_pre + (gain @ v.T).T
-    cov_obs = p_gain - gain @ A @ p_gain
-    cov_post = _project_psd(cov_obs + Q) if ordering == "observe_then_jump" else _project_psd(cov_obs)
+    cov_post = _project_psd(p_pre - gain @ A @ p_pre + Q)
     if not (np.all(np.isfinite(mean_post)) and np.all(np.isfinite(cov_post))):
         raise NumericalBlowup("filter state became non-finite at an event update")
 
@@ -220,7 +207,6 @@ def jump_update(
         index=index,
         time=belief.time,
         innovation=v,
-        innovation_cov=s,
         gain=gain,
         pred_mean=pred_mean,
         pred_cov=pred_cov,
@@ -236,7 +222,6 @@ def run_filter(
     scenario: ValidatedScenario,
     events,
     reporting_times,
-    ordering: str = "observe_then_jump",
     params: LinearModelParams | None = None,
 ) -> KalmanTrajectory:
     """Exact filter along the given events, reported at the given times.
@@ -256,7 +241,7 @@ def run_filter(
 
     def update(event, index: int) -> None:
         nonlocal belief
-        belief, record = jump_update(belief, params, event.dy, event.y_pre, ordering, index=index)
+        belief, record = jump_update(belief, params, event.dy, event.y_pre, index=index)
         updates.append(record)
 
     times, sides, rows = walk_events(
@@ -284,11 +269,9 @@ class VecEventBeliefs:
     are shared (K,) while means and innovations are per path (n_paths, K).
     """
 
-    times: np.ndarray
     pred_mean: np.ndarray  # (n_paths, K): A m- - C y- + b
     pred_var: np.ndarray  # (K,): A P- A^T + R
     innovation: np.ndarray  # (n_paths, K)
-    gain_var: np.ndarray  # (K,): innovation variance used for the gain
     post_mean: np.ndarray  # (n_paths, K)
     post_var: np.ndarray  # (K,)
     pre_mean: np.ndarray  # (n_paths, K)
@@ -300,7 +283,6 @@ def filter_events_vectorized(
     x0: np.ndarray,
     dys: np.ndarray,
     times: np.ndarray,
-    ordering: str = "observe_then_jump",
 ) -> VecEventBeliefs:
     """Run the scalar exact filter across paths that share event times.
 
@@ -317,7 +299,7 @@ def filter_events_vectorized(
     records = []
     for i, ti in enumerate(times):
         belief = propagate(belief, params, ti - belief.time)
-        belief, record = jump_update(belief, params, dys[:, i : i + 1], y, ordering, index=i + 1)
+        belief, record = jump_update(belief, params, dys[:, i : i + 1], y, index=i + 1)
         records.append(record)
         y = y + dys[:, i : i + 1]
 
@@ -328,11 +310,9 @@ def filter_events_vectorized(
         return np.array([getattr(r, name)[0, 0] for r in records], dtype=float)
 
     return VecEventBeliefs(
-        times=times,
         pred_mean=per_path("pred_mean"),
         pred_var=shared("pred_cov"),
         innovation=per_path("innovation"),
-        gain_var=shared("innovation_cov"),
         post_mean=per_path("mean_post"),
         post_var=shared("cov_post"),
         pre_mean=per_path("mean_pre"),

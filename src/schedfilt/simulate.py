@@ -215,7 +215,8 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     have not fired before, fire in label order on those paths.  Thresholds
     fall, so a path's labels fire in the order 0, 1, ..., and label i takes
     the path's i-th mark.  Returns x (S, P, m), y (S, P, n) and the
-    trapezoid integrals (S, P, G) at `snap_rows`, and per event the tuple
+    trapezoid integrals (S, P, G) at `snap_rows`, which ascend and may
+    repeat, and per event the tuple
     (row, label, paths, dy, y_pre, x_pre, xi, eta), with `paths` the block
     rows it fired on and the arrays over those rows.  A non-finite state
     raises NumericalBlowup on arrival at the next event row or at the end:
@@ -230,9 +231,6 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     at_row: dict[int, list[int]] = {}
     for i, k in enumerate(event_rows):
         at_row.setdefault(k, []).append(i)
-    snaps: dict[int, list[int]] = {}
-    for s, k in enumerate(snap_rows):
-        snaps.setdefault(k, []).append(s)
     G, S = len(integrands), len(snap_rows)
     x_out, y_out, int_out = np.empty((S, P, m)), np.empty((S, P, scenario.n)), np.empty((S, P, G))
     fired = []
@@ -244,6 +242,7 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     hs = np.diff(t)
     sqrt_hs = np.sqrt(hs)
     checked = 0  # the row of the last finiteness check
+    s = 0  # the next snapshot
     for k in range(n_steps + 1):
         # events fire on arrival at the row, observing the pre-jump state
         if k in at_row:
@@ -263,10 +262,11 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
                 fired.append((k, label, np.arange(P)[paths], dy, y_pre, x_pre, xi, eta))
             if G and firing:
                 g_prev = _eval_integrands(integrands, x)
-        for s in snaps.get(k, ()):
+        while s < S and snap_rows[s] == k:
             x_out[s], y_out[s] = x, y
             if G:
                 int_out[s] = acc
+            s += 1
         if k < n_steps:
             x = x + scenario.drift(x) * hs[k] + scenario.diffusion_apply(x, next(normals)) * sqrt_hs[k]
             if G:

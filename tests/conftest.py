@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -88,14 +89,18 @@ def cli_env():
     the caller's: ``PATH``, ``SOURCE_DATE_EPOCH``, any extra variables given,
     and ``PYTHONPATH`` set to the import root of the ``schedfilt`` this test
     session imported.  The child therefore runs the same code as the tests,
-    whether that comes from ``src/`` or from an install.
+    whether that comes from ``src/`` or from an install.  The caller's
+    ``PYTHONDONTWRITEBYTECODE``, when set, passes through, so a suite run
+    under it leaves no ``__pycache__`` behind.
     """
     import_root = str(Path(schedfilt.__file__).resolve().parents[1])
+    no_bytecode = {k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"}
 
     def build(epoch, **extra):
         return {
             "PATH": "/usr/bin:/bin:/usr/local/bin",
             "SOURCE_DATE_EPOCH": epoch,
+            **no_bytecode,
             **extra,
             "PYTHONPATH": import_root,
         }

@@ -170,6 +170,12 @@ def test_filter_all_methods(tmp_path, run_cli):
     assert head[0] == "t"
     assert {"kalman_m", "ks_m", "zakai_m", "grid_m"} <= set(head)
     assert first_line(out / "ks_trajectory.csv") == "t,phi_name,estimate,estimate_se,ess,log_rho1"
+    # the Kalman column filters the same model as the grid: pre-jump observation, then the jump
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for exact, oracle, bound in (("kalman_m", "grid_m", 2e-3), ("kalman_P", "grid_P", 1e-2)):
+        gaps = [abs(float(r[exact]) - float(r[oracle])) for r in rows if r[exact] and r[oracle]]
+        assert gaps and max(gaps) <= bound, (exact, max(gaps, default=None))
 
 
 def test_filter_events_round_trip(tmp_path, run_cli):

@@ -75,30 +75,10 @@ def test_event_update_hand_example(ou_params):
     # post mean 53/60, post var 1/24 + 1/25
     _, up = kalman.jump_update(_belief(0.5, 0.6, 0.05), ou_params, np.array([0.94]), np.zeros(1))
     assert float(up.innovation[0]) == pytest.approx(0.34, abs=1e-15)
-    assert float(up.innovation_cov[0, 0]) == pytest.approx(0.06, abs=1e-15)
+    assert float(up.pred_cov[0, 0]) == pytest.approx(0.06, abs=1e-15)
     assert float(up.gain[0, 0]) == pytest.approx(5.0 / 6.0, abs=1e-15)
     assert float(up.mean_post[0]) == pytest.approx(53.0 / 60.0, abs=1e-14)
     assert float(up.cov_post[0, 0]) == pytest.approx(29.0 / 600.0, abs=1e-14)
-
-
-def test_event_update_other_ordering(ou_params):
-    # jump first: gain built from P- + Q = 0.09, S = 0.10, K = 0.9
-    _, up = kalman.jump_update(
-        _belief(0.5, 0.6, 0.05), ou_params, np.array([0.94]), np.zeros(1),
-        ordering="jump_then_observe",
-    )
-    assert float(up.innovation_cov[0, 0]) == pytest.approx(0.10, abs=1e-15)
-    assert float(up.gain[0, 0]) == pytest.approx(0.9, abs=1e-15)
-    assert float(up.mean_post[0]) == pytest.approx(0.906, abs=1e-14)
-    assert float(up.cov_post[0, 0]) == pytest.approx(0.009, abs=1e-14)
-
-
-def test_orderings_genuinely_differ(ou_scenario):
-    res = simulate.simulate_path(ou_scenario, path_id=0)
-    rep = [ou_scenario.horizon]
-    a = kalman.run_filter(ou_scenario, res.events, rep, ordering="observe_then_jump")
-    b = kalman.run_filter(ou_scenario, res.events, rep, ordering="jump_then_observe")
-    assert abs(float(a.means[-1, 0]) - float(b.means[-1, 0])) > 1e-6
 
 
 def test_huge_noise_keeps_prior(ou_params):
@@ -172,16 +152,15 @@ def test_vectorized_filter_matches_scalar_loop(ou_scenario):
 
 
 @pytest.mark.parametrize("preset", ["ou_kalman", "credit_risk"])
-@pytest.mark.parametrize("ordering", kalman.ORDERINGS)
-def test_vectorized_rows_equal_run_filter(preset, ordering):
+def test_vectorized_rows_equal_run_filter(preset):
     # one recursion: row p of the block filter is run_filter on path p alone
     scn = build_preset(preset)
     params = kalman.linear_params_from_scenario(scn)
     paths = [simulate.simulate_path(scn, path_id=p).events for p in range(6)]
     dys = np.array([[float(e.dy[0]) for e in events] for events in paths])
-    beliefs = kalman.filter_events_vectorized(params, scn.x0, dys, [e.time for e in paths[0]], ordering)
+    beliefs = kalman.filter_events_vectorized(params, scn.x0, dys, [e.time for e in paths[0]])
     for p, events in enumerate(paths):
-        records = kalman.run_filter(scn, events, [], ordering=ordering).events
+        records = kalman.run_filter(scn, events, []).events
         pairs = {
             "pre_mean": [r.mean_pre[0] for r in records],
             "pre_var": [r.cov_pre[0, 0] for r in records],
@@ -190,27 +169,23 @@ def test_vectorized_rows_equal_run_filter(preset, ordering):
             "pred_mean": [r.pred_mean[0] for r in records],
             "pred_var": [r.pred_cov[0, 0] for r in records],
             "innovation": [r.innovation[0] for r in records],
-            "gain_var": [r.innovation_cov[0, 0] for r in records],
         }
         for name, want in pairs.items():
             got = getattr(beliefs, name)
             assert np.array_equal(got[p] if got.ndim == 2 else got, want), (name, p)
 
 
-@pytest.mark.parametrize("ordering", kalman.ORDERINGS)
-def test_jump_update_block_equals_single_paths(ou_params, ordering):
+def test_jump_update_block_equals_single_paths(ou_params):
     rng = np.random.default_rng(3)
     means, dys, y_pre = rng.normal(size=(3, 5, 1))
-    block, rec = kalman.jump_update(
-        kalman.GaussianBelief(0.5, means, np.array([[0.05]])), ou_params, dys, y_pre, ordering
-    )
+    block, rec = kalman.jump_update(kalman.GaussianBelief(0.5, means, np.array([[0.05]])), ou_params, dys, y_pre)
     for p in range(5):
-        one, rec_one = kalman.jump_update(_belief(0.5, means[p, 0], 0.05), ou_params, dys[p], y_pre[p], ordering)
+        one, rec_one = kalman.jump_update(_belief(0.5, means[p, 0], 0.05), ou_params, dys[p], y_pre[p])
         assert np.array_equal(block.mean[p], one.mean)
         assert np.array_equal(block.cov, one.cov)
         for name in ("innovation", "pred_mean", "mean_pre", "mean_post"):
             assert np.array_equal(getattr(rec, name)[p], getattr(rec_one, name)), name
-        for name in ("innovation_cov", "gain", "pred_cov", "cov_pre", "cov_post"):
+        for name in ("gain", "pred_cov", "cov_pre", "cov_post"):
             assert np.array_equal(getattr(rec, name), getattr(rec_one, name)), name
 
 
@@ -229,7 +204,7 @@ def test_innovation_whiteness(ou_scenario):
     n_paths = 10_000
     ens = simulate.run_ensemble(ou_scenario, n_paths, checkpoint_times=[2.0])
     beliefs = kalman.filter_events_vectorized(params, ou_scenario.x0, ens.dy[:, :, 0], ens.event_times)
-    z = beliefs.innovation / np.sqrt(beliefs.gain_var)[None, :]
+    z = beliefs.innovation / np.sqrt(beliefs.pred_var)[None, :]
     for i in range(z.shape[1]):
         assert abs(float(np.mean(z[:, i]))) < 4 / np.sqrt(n_paths)
         assert float(np.var(z[:, i])) == pytest.approx(1.0, abs=5 * np.sqrt(2.0 / n_paths))

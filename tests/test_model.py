@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedfilt import grid, kalman, model, particle, quad, rngs, testfns
+from schedfilt import grid, model, particle, quad, rngs, testfns
 from schedfilt.errors import (
     HorizonTooShort,
     NegativeDt,
@@ -57,9 +57,6 @@ _BAD_ARGUMENTS = {
     "quadrature_negative_variance": lambda s: quad.gaussian_quad_points(0.0, -1.0, 8),
     "negative_seed": lambda s: rngs.stream(-1),
     "negative_stream_label": lambda s: rngs.stream(0, rngs.PATH_DIFFUSION, -1),
-    "kalman_ordering": lambda s: kalman.jump_update(
-        kalman.GaussianBelief(0.0, s.x0, np.zeros((1, 1))), kalman.linear_params_from_scenario(s), 0.0, 0.0, ordering="sideways"
-    ),
     "bump_scale": lambda s: testfns.gauss_bump(0.0, 0.0),
     "clipped_identity_cap": lambda s: testfns.clipped_identity(cap=0.0),
     "clipped_square_cap": lambda s: testfns.clipped_square(cap=0.0),

@@ -259,19 +259,20 @@ def test_batch_equals_single_paths(euler_scenarios, medical_firing_scenario, mon
 
 
 def test_ensemble_matches_per_path_simulation(euler_scenarios):
-    # bit for bit with fixed times, for a scalar and a coupled 2-D state
+    # bit for bit with fixed times, for a scalar and a coupled 2-D state;
+    # the second checkpoint list repeats a time and holds one at an event
     for name in ("ou_kalman", "credit_risk", "njode_style", "m2_constant_matrix", "m2_diagonal_linear"):
         scn = euler_scenarios[name]
-        checkpoints = [0.4, scn.horizon]
-        ens = simulate.run_ensemble(scn, 8, checkpoint_times=checkpoints)
-        for p in range(8):
-            res = simulate.simulate_path(scn, path_id=p)
-            for ci, t in enumerate(checkpoints):
-                k = int(np.argmin(np.abs(res.path.t - t)))
-                np.testing.assert_array_equal(ens.x_checkpoints[p, ci], res.path.x[k], err_msg=name)
-            for i, ev in enumerate(res.events):
-                np.testing.assert_array_equal(ens.dy[p, i], ev.dy, err_msg=name)
-                np.testing.assert_array_equal(ens.x_pre[p, i], ev.x_pre, err_msg=name)
+        for checkpoints in ([0.4, scn.horizon], [0.4, 0.4, 0.5, scn.horizon]):
+            ens = simulate.run_ensemble(scn, 8, checkpoint_times=checkpoints)
+            for p in range(8):
+                res = simulate.simulate_path(scn, path_id=p)
+                for ci, t in enumerate(checkpoints):
+                    k = int(np.argmin(np.abs(res.path.t - t)))
+                    np.testing.assert_array_equal(ens.x_checkpoints[p, ci], res.path.x[k], err_msg=name)
+                for i, ev in enumerate(res.events):
+                    np.testing.assert_array_equal(ens.dy[p, i], ev.dy, err_msg=name)
+                    np.testing.assert_array_equal(ens.x_pre[p, i], ev.x_pre, err_msg=name)
 
 
 def test_ensemble_integrals_match_trapezoid_free_run(ou_scenario):
