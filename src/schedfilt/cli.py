@@ -37,7 +37,7 @@ from .kalman import run_filter as run_kalman_filter
 from .model import ValidatedScenario, scenario_from_json, scenario_to_json, validate
 from .particle import run_particle_filter
 from .presets import PRESETS, build_preset
-from .simulate import simulate_path
+from .simulate import ObservationEvent, simulate_path
 from .testfns import clipped_identity, clipped_square
 
 OUT_ROOT_ENV = "SCHEDFILT_OUT"
@@ -169,8 +169,6 @@ def cmd_simulate(args) -> int:
         t_cells = t_cells or _cells(result.path.t)
         written.append(_write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p, t_cells)))
         written.append(_write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n)))
-        for msg in result.warnings:
-            print(f"path {p}: {msg}", file=sys.stderr)
     _write_manifest(out, args, canonical, seed, written)
     print(f"wrote {len(written)} files to {out}")
     return 0
@@ -179,19 +177,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # filter
 
-class _LoadedEvent:
-    """Event reconstructed from an events CSV; Y- accumulates from zero."""
-
-    __slots__ = ("index", "time", "dy", "y_pre")
-
-    def __init__(self, index, time_, dy, y_pre):
-        self.index = index
-        self.time = time_
-        self.dy = dy
-        self.y_pre = y_pre
-
-
 def _load_events(path: Path, path_id: int, n: int) -> list:
+    """The events of one path in an events CSV; Y- accumulates from zero."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -205,7 +192,7 @@ def _load_events(path: Path, path_id: int, n: int) -> list:
     y = np.zeros(n)
     for r in rows:
         dy = np.array([float(r[f"dY_{j + 1}"]) for j in range(n)])
-        events.append(_LoadedEvent(int(r["i"]), float(r["T_i"]), dy, y.copy()))
+        events.append(ObservationEvent(int(r["i"]), float(r["T_i"]), dy, y.copy()))
         y = y + dy
     return events
 

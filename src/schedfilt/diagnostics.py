@@ -98,7 +98,7 @@ def check_martingale_Mphi(
         seed = scenario.seed
     checkpoints = tuple(c for c in _CHECKPOINTS if c <= scenario.horizon + 1e-12)
     lphi = testfns.diffusion_generator(phi, scenario)
-    aphi = testfns.jump_generator(phi, scenario, order=scenario.filters.quad_order_jump)
+    aphi = testfns.jump_generator(phi, scenario)
 
     ens = simulate.run_ensemble(scenario, n_paths, seed, checkpoint_times=checkpoints, integrands=[lphi])
     phi0 = float(np.asarray(phi(scenario.x0[None, :]))[0])
@@ -150,7 +150,7 @@ def check_martingale_Mphi(
         passed=passed,
         statistic=float(stat),
         tolerance="|mean M_t| <= 3 SE at every checkpoint; regression |t| <= 3",
-        sizes={"n_paths": n_paths, "quad_order_jump": scenario.filters.quad_order_jump, "phi": phi.name},
+        sizes={"n_paths": n_paths, "quad_order_jump": testfns.QUAD_ORDER_JUMP, "phi": phi.name},
         seed=seed,
         negative_control=negative_control,
         details={
@@ -199,7 +199,7 @@ def check_ks_residual(
     if negative_control and scenario.jump_law.xi_is_zero:
         raise UnsupportedScenario("the negative control needs a scenario with signal jumps")
     lphi = testfns.diffusion_generator(phi, scenario)
-    aphi = testfns.jump_generator(phi, scenario, order=scenario.filters.quad_order_jump)
+    aphi = testfns.jump_generator(phi, scenario)
     x_nodes = grid.make_grid(scenario)
 
     # interior Taylor-order ratio on a jump-free stretch from the start.
@@ -246,7 +246,7 @@ def check_ks_residual(
         passed=passed,
         statistic=float(max(worst / tol, 0.0)),
         tolerance=f"interior halving ratio in [3.2, 4.8]; |event residual| <= {tol:g}",
-        sizes={"n_runs": n_runs, "n_nodes": x_nodes.size, "quad_order_event": scenario.filters.quad_order_event, "phi": phi.name},
+        sizes={"n_runs": n_runs, "n_nodes": x_nodes.size, "quad_order_event": grid.QUAD_ORDER_EVENT, "phi": phi.name},
         seed=seed,
         negative_control=negative_control,
         details={

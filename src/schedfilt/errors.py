@@ -21,7 +21,6 @@ __all__ = [
     "NonpositiveR",
     "BoundaryLeak",
     "ZeroLikelihoodMass",
-    "ScheduleExhaustedHorizon",
 ]
 
 
@@ -95,7 +94,3 @@ class BoundaryLeak(SchedFiltError):
 
 class ZeroLikelihoodMass(SchedFiltError):
     """A grid Bayes update left numerically zero mass."""
-
-
-class ScheduleExhaustedHorizon(UserWarning):
-    """A scheduled event time beyond the horizon was dropped."""

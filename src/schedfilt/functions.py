@@ -41,7 +41,6 @@ import numpy as np
 from .errors import UnknownFunctionDescriptor
 
 __all__ = [
-    "eval_scalar_expr",
     "compile_scalar_expr",
     "compile_drift",
     "compile_matrix_fn",
@@ -54,10 +53,6 @@ __all__ = [
 Descriptor = dict[str, Any]
 
 _SCALAR_KINDS = {"const", "identity", "affine", "poly", "exp", "log", "scale", "sum", "prod"}
-
-
-def eval_scalar_expr(desc: Descriptor, x: np.ndarray) -> np.ndarray:
-    return compile_scalar_expr(desc)(x)
 
 
 def compile_scalar_expr(desc: Descriptor) -> Callable[[np.ndarray], np.ndarray]:

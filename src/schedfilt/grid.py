@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rngs
-from .errors import BoundaryLeak, NegativeDt, UnsupportedScenario, ValidationError, ZeroLikelihoodMass
+from .errors import BoundaryLeak, NegativeDt, NumericalBlowup, UnsupportedScenario, ValidationError, ZeroLikelihoodMass
 from .model import GaussianMarks, ValidatedScenario, walk_events
 from .quad import gaussian_quad_points
 
@@ -50,6 +50,8 @@ _MASS_TOL = 1e-8
 _INIT_SD_NODES = 3.0  # initial point mass widened to a 3-node Gaussian
 _PILOT_PATHS = 2048
 _PILOT_MAX_STEPS = 400
+_HALFWIDTH_SDS = 8.0  # the pilot envelope is mean +/- this many sd
+QUAD_ORDER_EVENT = 64  # Gauss-Hermite nodes of grid_nu_integral's predictive law of dy
 # Band entries a kernel build evaluates at once: each of its scratch arrays
 # is 128 KB, 17 rows of the (2000, 949) ou_kalman jump band.
 BAND_BLOCK_ENTRIES = 2**14
@@ -112,20 +114,21 @@ def _require_scalar(scenario: ValidatedScenario) -> None:
         raise UnsupportedScenario("the grid filter supports scalar state and observation only")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_domain(scenario: ValidatedScenario) -> tuple[float, float]:
-    """Domain from an unconditioned pilot cloud: envelope of mean +/- k sd,
-    k = `grid_halfwidth_sds`.
+    """Domain from an unconditioned pilot cloud: envelope of mean +/-
+    `_HALFWIDTH_SDS` sd.
 
     Jumps are applied unconditionally at every candidate event time, which
     over-spreads relative to the conditional law and errs toward a wide
-    domain.  Deterministic for a fixed scenario seed.
+    domain.  Deterministic for a fixed scenario seed.  A pilot cloud or
+    envelope that overflows raises NumericalBlowup.
     """
     _require_scalar(scenario)
-    k = scenario.filters.grid_halfwidth_sds
     rng = rngs.stream(scenario.seed, rngs.PILOT)
     horizon = scenario.horizon
     dt = max(scenario.dt, horizon / _PILOT_MAX_STEPS)
-    candidate = [t for t in scenario.schedule.candidate_times if t <= horizon + 1e-12]
+    candidate = scenario.schedule.candidate_times
 
     x = np.full(_PILOT_PATHS, float(scenario.x0[0]))
     lo = hi = float(scenario.x0[0])
@@ -145,8 +148,11 @@ def estimate_domain(scenario: ValidatedScenario) -> tuple[float, float]:
         x = x + scenario.drift(xcol)[:, 0] * h + scenario.diffusion(xcol)[:, 0, 0] * np.sqrt(h) * z
         t += h
         mu, sd = float(x.mean()), float(x.std())
-        lo = min(lo, mu - k * sd, float(x.min()))
-        hi = max(hi, mu + k * sd, float(x.max()))
+        lo = min(lo, mu - _HALFWIDTH_SDS * sd, float(x.min()))
+        hi = max(hi, mu + _HALFWIDTH_SDS * sd, float(x.max()))
+    # a non-finite pilot stays non-finite, so its end state shows any blowup
+    if not (np.isfinite(x).all() and np.isfinite(hi - lo)):
+        raise NumericalBlowup("the pilot cloud of the grid domain became non-finite")
     pad = 0.05 * (hi - lo) + 1e-6
     return lo - pad, hi + pad
 
@@ -429,19 +435,18 @@ def grid_nu_integral(
     law = scenario.jump_law
     if not law.eta_has_density:
         raise UnsupportedScenario("predictive-law integral needs a measurement-noise density")
-    order = scenario.filters.quad_order_event
     x, p = density_pre.x, density_pre.p
     f_vals = scenario.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
     mean_y = float(np.trapezoid(p * f_vals, x))
     var_y = float(np.trapezoid(p * (f_vals - mean_y) ** 2, x)) + float(law.See[0, 0])
-    nodes, wts = gaussian_quad_points(mean_y, var_y, order)
+    nodes, wts = gaussian_quad_points(mean_y, var_y, QUAD_ORDER_EVENT)
     envelope = np.exp(-0.5 * (nodes - mean_y) ** 2 / var_y) / np.sqrt(2.0 * np.pi * var_y)
     eta = (nodes[:, None] - f_vals).reshape(-1, 1)
-    q = p * np.exp(law.eta_log_density(eta)).reshape(order, x.size)
+    q = p * np.exp(law.eta_log_density(eta)).reshape(QUAD_ORDER_EVENT, x.size)
     f_i = np.trapezoid(q, x, axis=1)  # predictive density of dy at the nodes
     live = (f_i > 0.0) & (envelope > 0.0)
 
-    post = np.full(order, np.nan)  # E[phi(X_post) | dy = node]
+    post = np.full(QUAD_ORDER_EVENT, np.nan)  # E[phi(X_post) | dy = node]
     if law.gain.any():  # the jump band depends on eta_hat: one full update per node
         for k in np.flatnonzero(live):
             try:

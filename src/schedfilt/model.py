@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+REPORTING_DT = 0.05  # spacing of every filter's default reporting grid
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,8 @@ def mark_law(spec: JumpLawSpec, m: int, n: int) -> GaussianMarks | DiscreteMarks
 class Schedule:
     """Event schedule: fixed times, or thresholds checked on an observation grid.
 
-    For kind "deterministic", `times` are strictly increasing positive times.
+    `validate` requires every fixed or observation-grid time to lie in
+    (0, horizon].  For kind "deterministic", `times` strictly increase.
     For kind "threshold", `thresholds` are strictly decreasing levels
     (theta_K > ... > theta_1, listed in that order) checked against the
     observed Y at grid points; threshold i triggers at the first grid time
@@ -286,12 +288,7 @@ class ModelSpec:
 @dataclass(frozen=True)
 class FilterSettings:
     n_particles: int = 20_000
-    resample_threshold: float = 0.5
     grid_nodes: int = 2000
-    grid_halfwidth_sds: float = 8.0
-    reporting_dt: float = 0.05
-    quad_order_jump: int = 20
-    quad_order_event: int = 64
 
 
 @dataclass(frozen=True)
@@ -346,8 +343,8 @@ class ValidatedScenario:
 
     @property
     def reporting_times(self) -> np.ndarray:
-        """Default reporting grid: 0 to the horizon in steps of reporting_dt."""
-        n = int(round(self.horizon / self.filters.reporting_dt))
+        """Default reporting grid: 0 to the horizon in steps of REPORTING_DT."""
+        n = int(round(self.horizon / REPORTING_DT))
         return np.linspace(0.0, self.horizon, n + 1)
 
     def with_overrides(self, **changes: Any) -> "ValidatedScenario":
@@ -435,12 +432,6 @@ def _validate_schedule(schedule: Schedule, horizon: float) -> None:
         times = np.asarray(schedule.times, dtype=float)
         if times.size and (np.any(times <= 0) or np.any(np.diff(times) <= 0)):
             raise NonIncreasingTimes("deterministic times must be strictly increasing and positive")
-        # trailing times beyond the horizon are dropped (with a warning) at
-        # simulation; a horizon that covers no event at all is a config error
-        if times.size and times[0] > horizon:
-            raise HorizonTooShort(
-                f"horizon {horizon} lies before the first scheduled time {times[0]}"
-            )
     elif schedule.kind == "threshold":
         thr = np.asarray(schedule.thresholds, dtype=float)
         if thr.size == 0:
@@ -450,25 +441,18 @@ def _validate_schedule(schedule: Schedule, horizon: float) -> None:
         grid = np.asarray(schedule.obs_grid, dtype=float)
         if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise NonIncreasingTimes("observation grid must be strictly increasing and positive")
-        if grid[-1] > horizon:
-            raise HorizonTooShort("horizon does not cover the observation grid")
     else:
         raise ValidationError(f"unknown schedule kind: {schedule.kind!r}")
+    last = max(schedule.candidate_times, default=0.0)
+    if last > horizon:
+        raise HorizonTooShort(f"scheduled time {last} lies past the horizon {horizon}")
 
 
 def _validate_filter_settings(fs: FilterSettings) -> None:
     if fs.n_particles < 2:
         raise ValidationError("n_particles must be >= 2")
-    if not 0.0 <= fs.resample_threshold <= 1.0:
-        raise ValidationError("resample_threshold must lie in [0, 1]")
     if fs.grid_nodes < 16:
         raise ValidationError("grid_nodes must be >= 16")
-    if fs.grid_halfwidth_sds <= 0:
-        raise ValidationError("grid_halfwidth_sds must be positive")
-    if fs.reporting_dt <= 0:
-        raise NegativeDt("reporting_dt must be positive")
-    if fs.quad_order_jump < 20 or fs.quad_order_event < 40:
-        raise ValidationError("quadrature orders below the supported minimum")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 MODES = ("normalized", "unnormalized")
+# resample when the effective sample size falls below this fraction of N
+RESAMPLE_THRESHOLD = 0.5
 
 
 @dataclass
@@ -107,22 +109,20 @@ def init_ensemble(
     seed: int | None = None,
     mode: str = "normalized",
     run_label: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> ParticleEnsemble:
     """All particles at the known initial state, equal weights."""
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
     if n_particles < 2:
         raise ValidationError("need at least two particles")
-    if rng is None:
-        base = scenario.seed if seed is None else seed
-        mode_code = MODES.index(mode)
-        rng = rngs.stream(base, rngs.PARTICLES, mode_code, run_label)
+    base = scenario.seed if seed is None else seed
+    rng = rngs.stream(base, rngs.PARTICLES, MODES.index(mode), run_label)
     x = np.tile(scenario.x0.astype(float), (n_particles, 1))
     log_w = np.full(n_particles, -np.log(n_particles))
     return ParticleEnsemble(x=x, log_w=log_w, mode=mode, time=0.0, log_mass=0.0, rng=rng)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(ensemble: ParticleEnsemble, scenario: ValidatedScenario, t_end: float) -> ParticleEnsemble:
     """Euler step every particle forward to t_end; weights unchanged.
 
@@ -134,7 +134,8 @@ def propagate(ensemble: ParticleEnsemble, scenario: ValidatedScenario, t_end: fl
     summed in that order, with B(x) z from `scenario.diffusion_apply`.
     The block is written into one buffer reused across substeps; the
     numbers drawn, and so every trajectory, are those of a fresh
-    `standard_normal((N, m))` per substep.
+    `standard_normal((N, m))` per substep.  numpy's overflow and invalid
+    warnings are off: a non-finite result raises NumericalBlowup.
     """
     t = ensemble.time
     if t_end < t - 1e-12:
@@ -174,10 +175,10 @@ def _apply_jumps(ensemble: ParticleEnsemble, scenario: ValidatedScenario, eta_ha
     ensemble.x = ensemble.x + np.einsum("nij,nj->ni", cmat, xi)
 
 
-def _maybe_resample(ensemble: ParticleEnsemble, threshold: float) -> tuple[float, bool]:
+def _maybe_resample(ensemble: ParticleEnsemble) -> tuple[float, bool]:
     w = ensemble.weights
     ess = effective_sample_size(w)
-    if ess >= threshold * ensemble.n:
+    if ess >= RESAMPLE_THRESHOLD * ensemble.n:
         return ess, False
     idx = systematic_resample(ensemble.rng, w, ensemble.n)
     ensemble.x = ensemble.x[idx]
@@ -245,7 +246,7 @@ def _event_update(
         ensemble.log_mass = log_mass_pre + log_total - log_ref
     ensemble.log_w = log_w - log_total
 
-    ess_pre, resampled = _maybe_resample(ensemble, scenario.filters.resample_threshold)
+    ess_pre, resampled = _maybe_resample(ensemble)
     if resampled:
         eta_hat = dy[None, :] - scenario.obs_fn(ensemble.x, y_pre)
     _apply_jumps(ensemble, scenario, eta_hat)

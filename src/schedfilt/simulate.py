@@ -16,25 +16,20 @@ normals are drawn a tile of steps at a time into one reused buffer of at
 most `TILE_NORMALS` values, so a chunk never holds its whole horizon of
 normals; each path's stream is still read in step order, so the tiling
 does not change a draw.  As in `particle.propagate`, the state is checked
-to be finite at each event and at the end, not after every step.
+to be finite at each event and at the end, not after every step, and each
+event's observation increment when it fires.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
 from . import rngs
-from .errors import (
-    NumericalBlowup,
-    ScheduleExhaustedHorizon,
-    UnsupportedScenario,
-    ValidationError,
-)
+from .errors import NumericalBlowup, UnsupportedScenario, ValidationError
 from .model import ValidatedScenario
 
 __all__ = [
@@ -63,15 +58,16 @@ TILE_NORMALS = 2**20
 @dataclass(frozen=True)
 class ObservationEvent:
     """One observation event.  Filters may use index, time, dy, y_pre only;
-    x_pre, xi, eta are full-information fields for simulation diagnostics."""
+    x_pre, xi, eta are full-information fields for simulation diagnostics,
+    None on an event read back from a file."""
 
     index: int  # 1-based, chronological
     time: float
     dy: np.ndarray  # (n,)
     y_pre: np.ndarray  # (n,)
-    x_pre: np.ndarray  # (m,)
-    xi: np.ndarray  # (m,)
-    eta: np.ndarray  # (n,)
+    x_pre: np.ndarray | None = None  # (m,)
+    xi: np.ndarray | None = None  # (m,)
+    eta: np.ndarray | None = None  # (n,)
     threshold_label: int | None = None  # position in the thresholds tuple
 
 
@@ -87,7 +83,6 @@ class SignalPath:
 class SimulationResult:
     path: SignalPath
     events: list[ObservationEvent]
-    warnings: list[str] = field(default_factory=list)
 
 
 def build_time_grid(horizon: float, dt: float, special_times=()) -> np.ndarray:
@@ -107,27 +102,13 @@ def build_time_grid(horizon: float, dt: float, special_times=()) -> np.ndarray:
     return t
 
 
-def _scheduled_times(scenario: ValidatedScenario) -> tuple[list[float], list[str]]:
-    """Candidate event times within the horizon, plus drop warnings."""
-    kept: list[float] = []
-    warnings_list: list[str] = []
-    for i, s in enumerate(scenario.schedule.candidate_times):
-        if s > scenario.horizon + _MERGE_TOL:
-            msg = f"scheduled time T_{i + 1} = {s} beyond horizon {scenario.horizon}; dropped"
-            warnings_list.append(msg)
-            warnings.warn(msg, ScheduleExhaustedHorizon, stacklevel=3)
-        else:
-            kept.append(float(s))
-    return kept, warnings_list
-
-
 def simulate_path(scenario: ValidatedScenario, path_id: int = 0, seed: int | None = None) -> SimulationResult:
     """Simulate one signal/observation path.
 
     Reproducible: the same (scenario, path_id, seed) give the same result
     bit for bit.  `seed` defaults to the scenario seed.
     """
-    return next(_blocks(scenario, [path_id], seed, _scheduled_times(scenario)))
+    return next(_blocks(scenario, [path_id], seed))
 
 
 def simulate_batch(scenario: ValidatedScenario, path_ids, seed: int | None = None) -> Iterator[SimulationResult]:
@@ -139,14 +120,12 @@ def simulate_batch(scenario: ValidatedScenario, path_ids, seed: int | None = Non
     `simulate_path(scenario, path_id, seed)` bit for bit whatever the
     block.  `seed` defaults to the scenario seed.
     """
-    return _blocks(scenario, list(path_ids), seed, _scheduled_times(scenario))
+    return _blocks(scenario, list(path_ids), seed)
 
 
-def _blocks(scenario: ValidatedScenario, path_ids: list, seed, scheduled) -> Iterator[SimulationResult]:
-    # `scheduled` is _scheduled_times' result, taken in the public entry
-    # point so that its warning names the caller's line
+def _blocks(scenario: ValidatedScenario, path_ids: list, seed) -> Iterator[SimulationResult]:
     seed = scenario.seed if seed is None else seed
-    special, warn_list = scheduled
+    special = scenario.schedule.candidate_times
     t = build_time_grid(scenario.horizon, scenario.dt, special)
     event_rows = _grid_rows(t, special, "event time")
     for lo in range(0, len(path_ids), BLOCK_PATHS):
@@ -163,7 +142,7 @@ def _blocks(scenario: ValidatedScenario, path_ids: list, seed, scheduled) -> Ite
                 rows[j].append(k)
         for j in range(P):
             path = SignalPath(t, x[:, j], y[:, j], np.asarray(rows[j], dtype=int))
-            yield SimulationResult(path, events[j], list(warn_list))
+            yield SimulationResult(path, events[j])
 
 
 def _grid_rows(t: np.ndarray, times, what: str) -> list[int]:
@@ -206,6 +185,7 @@ def _normals(gens, m: int, n_steps: int) -> Iterator[np.ndarray]:
         yield from tile.swapaxes(0, 1)[:L]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_rows, integrands=()):
     """Step the (P, m) block of paths that `draws` gives across the grid t.
 
@@ -221,6 +201,8 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
     rows it fired on and the arrays over those rows.  A non-finite state
     raises NumericalBlowup on arrival at the next event row or at the end:
     inf + a and nan + a are never finite, so it stays non-finite till then.
+    A non-finite dy raises it at its event.  numpy's overflow and invalid
+    warnings are off, since these checks report the blowup.
     """
     gens, xi_all, eta_all = draws
     P, n_steps, m = len(gens), len(t) - 1, scenario.m
@@ -257,6 +239,8 @@ def _euler(scenario: ValidatedScenario, t: np.ndarray, draws, event_rows, snap_r
                 x_pre, y_pre = x[paths].copy(), y[paths].copy()
                 xi, eta = xi_all[paths, mark], eta_all[paths, mark]
                 dy = scenario.obs_fn(x_pre, y_pre) + eta
+                if not np.isfinite(dy).all():
+                    raise NumericalBlowup(f"observation increment became non-finite at t = {t[k]:.6g}")
                 y[paths] = y_pre + dy
                 x[paths] = x_pre + np.einsum("pij,pj->pi", scenario.jump_coeff(x_pre), xi)
                 fired.append((k, label, np.arange(P)[paths], dy, y_pre, x_pre, xi, eta))
@@ -331,7 +315,7 @@ def run_ensemble(
         raise ValidationError(f"n_paths must be a nonnegative integer, got {n_paths!r}")
 
     seed = scenario.seed if seed is None else seed
-    event_times, _ = _scheduled_times(scenario)
+    event_times = scenario.schedule.times
     t = build_time_grid(scenario.horizon, scenario.dt, event_times)
     ckpts = np.asarray(sorted(float(c) for c in checkpoint_times), dtype=float)
     ckpt_rows = _grid_rows(t, ckpts, "checkpoint")
@@ -342,7 +326,7 @@ def run_ensemble(
         checkpoint_times=ckpts,
         x_checkpoints=np.empty((n_paths, C, m)),
         integrals=np.empty((n_paths, C, len(integrands))),
-        event_times=np.asarray(event_times),
+        event_times=np.asarray(event_times, dtype=float),
         **{name: np.empty((n_paths, K, d)) for name, d in dims.items()},
     )
     for lo in range(0, n_paths, CHUNK_PATHS):

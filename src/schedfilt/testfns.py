@@ -36,6 +36,8 @@ __all__ = [
     "jump_generator",
 ]
 
+QUAD_ORDER_JUMP = 20  # Gauss-Hermite points per coordinate of jump_generator's xi quadrature
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -84,42 +86,40 @@ def gauss_bump(center, scale: float, name: str | None = None) -> TestFunction:
     return TestFunction(name or "gauss_bump", value, derivs, bound=1.0)
 
 
-def clipped_identity(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
-    """phi(x) = cap * tanh(x_k / cap): the identity on |x_k| << cap, bounded by cap."""
+def clipped_identity(cap: float = 10.0, name: str | None = None) -> TestFunction:
+    """phi(x) = cap * tanh(x_1 / cap): the identity on |x_1| << cap, bounded by cap."""
     if cap <= 0:
         raise ValidationError("cap must be positive")
-    k = component
 
     def value(x):
-        return cap * np.tanh(x[:, k] / cap)
+        return cap * np.tanh(x[:, 0] / cap)
 
     def derivs(x):
-        t = np.tanh(x[:, k] / cap)
+        t = np.tanh(x[:, 0] / cap)
         grad = np.zeros_like(x)
-        grad[:, k] = 1.0 - t**2
+        grad[:, 0] = 1.0 - t**2
         hess = np.zeros(x.shape + (x.shape[1],))
-        hess[:, k, k] = -2.0 * t * (1.0 - t**2) / cap
+        hess[:, 0, 0] = -2.0 * t * (1.0 - t**2) / cap
         return grad, hess
 
     return TestFunction(name or "clipped_identity", value, derivs, bound=cap)
 
 
-def clipped_square(cap: float = 10.0, component: int = 0, name: str | None = None) -> TestFunction:
-    """phi(x) = cap^2 * tanh(x_k / cap)^2: matches x_k^2 on |x_k| << cap."""
+def clipped_square(cap: float = 10.0, name: str | None = None) -> TestFunction:
+    """phi(x) = cap^2 * tanh(x_1 / cap)^2: matches x_1^2 on |x_1| << cap."""
     if cap <= 0:
         raise ValidationError("cap must be positive")
-    k = component
 
     def value(x):
-        return cap**2 * np.tanh(x[:, k] / cap) ** 2
+        return cap**2 * np.tanh(x[:, 0] / cap) ** 2
 
     def derivs(x):
-        t = np.tanh(x[:, k] / cap)
+        t = np.tanh(x[:, 0] / cap)
         s2 = 1.0 - t**2
         grad = np.zeros_like(x)
-        grad[:, k] = 2.0 * cap * t * s2
+        grad[:, 0] = 2.0 * cap * t * s2
         hess = np.zeros(x.shape + (x.shape[1],))
-        hess[:, k, k] = 2.0 * s2 * (s2 - 2.0 * t**2)
+        hess[:, 0, 0] = 2.0 * s2 * (s2 - 2.0 * t**2)
         return grad, hess
 
     return TestFunction(name or "clipped_square", value, derivs, bound=cap**2)
@@ -161,13 +161,12 @@ def diffusion_generator(phi: TestFunction, scenario: ValidatedScenario) -> Calla
     return lphi
 
 
-def jump_generator(
-    phi: TestFunction, scenario: ValidatedScenario, order: int | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def jump_generator(phi: TestFunction, scenario: ValidatedScenario) -> Callable[[np.ndarray], np.ndarray]:
     """Return x -> A phi(x), integrating xi over the mark law's xi-marginal
-    with `xi_quadrature`: Gauss-Hermite for Gaussian marks, the atoms for
-    discrete ones, and one node at 0 when xi is zero, so A phi = 0."""
-    nodes, weights = scenario.jump_law.xi_quadrature(order or scenario.filters.quad_order_jump)
+    with `xi_quadrature`: Gauss-Hermite of `QUAD_ORDER_JUMP` points for
+    Gaussian marks, the atoms for discrete ones, and one node at 0 when xi
+    is zero, so A phi = 0."""
+    nodes, weights = scenario.jump_law.xi_quadrature(QUAD_ORDER_JUMP)
 
     def aphi(x: np.ndarray) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))

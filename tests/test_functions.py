@@ -29,20 +29,20 @@ def test_scalar_kinds_match_numpy():
         ),
     ]
     for desc, expected in cases:
-        np.testing.assert_allclose(functions.eval_scalar_expr(desc, x), expected, rtol=0, atol=0)
+        np.testing.assert_allclose(functions.compile_scalar_expr(desc)(x), expected, rtol=0, atol=0)
 
 
 def test_log_floor_clips():
     desc = {"kind": "log", "child": {"kind": "identity"}, "floor": 0.1}
     x = np.array([-1.0, 0.05, 1.0])
     np.testing.assert_allclose(
-        functions.eval_scalar_expr(desc, x), np.log(np.maximum(x, 0.1))
+        functions.compile_scalar_expr(desc)(x), np.log(np.maximum(x, 0.1))
     )
 
 
 def test_unknown_kind_raises():
     with pytest.raises(UnknownFunctionDescriptor):
-        functions.eval_scalar_expr({"kind": "sinh"}, np.zeros(3))
+        functions.compile_scalar_expr({"kind": "sinh"})(np.zeros(3))
 
 
 def test_compile_drift_matrix_forms():
@@ -100,7 +100,7 @@ def test_affine_coefficients_round_trip():
 def test_affine_descriptor_evaluates_affinely(a, b, x):
     desc = {"kind": "affine", "slope": a, "intercept": b}
     arr = np.asarray(x)
-    np.testing.assert_allclose(functions.eval_scalar_expr(desc, arr), a * arr + b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(functions.compile_scalar_expr(desc)(arr), a * arr + b, rtol=1e-12, atol=1e-12)
 
 
 @given(
@@ -110,7 +110,7 @@ def test_affine_descriptor_evaluates_affinely(a, b, x):
 def test_poly_matches_horner(coeffs, x):
     desc = {"kind": "poly", "coeffs": coeffs}
     direct = sum(c * x**k for k, c in enumerate(coeffs))
-    got = float(functions.eval_scalar_expr(desc, np.array([x]))[0])
+    got = float(functions.compile_scalar_expr(desc)(np.array([x]))[0])
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
@@ -192,7 +192,6 @@ def test_compiled_expression_equals_the_tree_walk(desc):
             got, want = compiled(arg), _walk(desc, arg)
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-            np.testing.assert_array_equal(functions.eval_scalar_expr(desc, arg), want)
 
 
 @pytest.mark.parametrize(
@@ -202,5 +201,3 @@ def test_compiled_expression_equals_the_tree_walk(desc):
 def test_compiling_an_unknown_kind_raises(desc):
     with pytest.raises(UnknownFunctionDescriptor):
         functions.compile_scalar_expr(desc)
-    with pytest.raises(UnknownFunctionDescriptor):
-        functions.eval_scalar_expr(desc, np.zeros(3))

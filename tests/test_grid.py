@@ -199,8 +199,7 @@ def test_cold_medical_filter_memory_peak(medical_scenario):
     # c(x) = x makes the jump band (2000, 3999), 64 MB: the build must not
     # hold band-sized temporaries beside it (202 MB traced when it did)
     def visit(index, time, dy, y_pre):
-        zero = np.zeros(1)
-        return simulate.ObservationEvent(index, time, np.array([dy]), np.array([y_pre]), zero, zero, zero)
+        return simulate.ObservationEvent(index, time, np.array([dy]), np.array([y_pre]))
 
     events = [visit(1, 0.5, -0.2, 0.0), visit(2, 1.5, -0.3, -0.2)]
     lo, hi = grid.estimate_domain(medical_scenario)
@@ -405,7 +404,7 @@ def _nu_per_node(dens, scn, phi, y_pre):
     f = scn.obs_fn(x[:, None], np.array([y_pre]))[:, 0]
     mean_y = float(np.trapezoid(p * f, x))
     var_y = float(np.trapezoid(p * (f - mean_y) ** 2, x)) + float(scn.jump_law.See[0, 0])
-    nodes, wts = gaussian_quad_points(mean_y, var_y, scn.filters.quad_order_event)
+    nodes, wts = gaussian_quad_points(mean_y, var_y, grid.QUAD_ORDER_EVENT)
     total, skipped = 0.0, 0
     for y, w in zip(nodes, wts):
         f_i = np.trapezoid(p * np.exp(scn.jump_law.eta_log_density((y - f)[:, None])), x)
@@ -442,4 +441,4 @@ def test_nu_integral_matches_per_node_updates(case, ou_scenario, credit_scenario
     want, skipped = _nu_per_node(dens, scn, phi, 0.0)
     assert grid.grid_nu_integral(dens, scn, phi, 0.0) == pytest.approx(want, rel=0.0, abs=1e-14)
     if case == "tiny_r":
-        assert 0 < skipped < scn.filters.quad_order_event
+        assert 0 < skipped < grid.QUAD_ORDER_EVENT

@@ -92,6 +92,14 @@ _MALFORMED_ENTRIES = {
     "n_particles_fractional": ("filters.n_particles", 500.5, ValidationError),
     "horizon_not_a_number": ("horizon", "abc", ValidationError),
     "misspelt_filter_setting": ("filters.n_particle", 5, ValidationError),
+    # settings that are module constants, not scenario fields: a file that sets one is refused
+    **{f"retired_{key}": (f"filters.{key}", value, ValidationError) for key, value in (
+        ("resample_threshold", 0.5),
+        ("grid_halfwidth_sds", 8.0),
+        ("reporting_dt", 0.05),
+        ("quad_order_jump", 20),
+        ("quad_order_event", 64),
+    )},
 }
 
 
@@ -105,9 +113,14 @@ def test_malformed_scenario_raises_validation_error(case):
         assert path.split(".")[1] in str(info.value)
 
 
-def test_rejects_horizon_before_first_event():
-    with pytest.raises(HorizonTooShort):
-        model.validate(_base_config(horizon=0.25))
+@pytest.mark.parametrize("schedule", [
+    model.Schedule(kind="deterministic", times=(2.5, 3.0)),  # every time past the horizon
+    model.Schedule(kind="deterministic", times=(0.5, 1.0, 2.5)),  # only the last
+    model.Schedule(kind="threshold", thresholds=(0.5,), obs_grid=(0.5, 1.0, 2.5)),
+], ids=["all_times", "last_time", "threshold_grid"])
+def test_rejects_horizon_before_first_event(schedule):
+    with pytest.raises(HorizonTooShort, match=r"lies past the horizon 2.0$"):
+        model.validate(_base_config(schedule=schedule))
 
 
 def test_rejects_non_psd_mark_covariance():
@@ -279,12 +292,7 @@ _SCHEDULES = {
     filters=st.builds(
         model.FilterSettings,
         n_particles=st.integers(2, 10**6),
-        resample_threshold=st.floats(0.0, 1.0),
         grid_nodes=st.integers(16, 10**4),
-        grid_halfwidth_sds=st.floats(0.5, 20.0),
-        reporting_dt=st.floats(1e-4, 1.0),
-        quad_order_jump=st.integers(20, 80),
-        quad_order_event=st.integers(40, 200),
     ),
 )
 def test_round_trip_random_linear_configs(seed, dt, law_kind, law_values, schedule_kind, times, filters):

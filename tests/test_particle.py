@@ -57,20 +57,22 @@ def test_flat_likelihood_keeps_weights_uniform(ou_scenario):
     assert ens.log_mass == 0.0
 
 
-def test_two_atom_bayes_enumeration(ou_scenario):
+def test_two_atom_bayes_enumeration(ou_scenario, monkeypatch):
     # obs increment is x + noise with r = 0.01; two atoms give a
     # closed-form posterior that the update must reproduce exactly
+    monkeypatch.setattr(particle, "RESAMPLE_THRESHOLD", 0.0)
     xs, dy, r = [0.2, 1.0], 0.9, 0.01
     ens = _hand_ensemble(xs, [0.5, 0.5])
-    particle.ks_update(ens, ou_scenario.with_overrides(resample_threshold=0.0), dy=[dy], y_pre=[1.0])
+    particle.ks_update(ens, ou_scenario, dy=[dy], y_pre=[1.0])
     lik = np.exp(-((dy - np.asarray(xs)) ** 2) / (2 * r))
     np.testing.assert_allclose(ens.weights, lik / lik.sum(), atol=1e-12)
 
 
-def test_three_atom_zakai_mass_oracle(ou_scenario):
+def test_three_atom_zakai_mass_oracle(ou_scenario, monkeypatch):
+    monkeypatch.setattr(particle, "RESAMPLE_THRESHOLD", 0.0)
     xs, w, dy, r = [0.2, 0.6, 1.1], [0.5, 0.3, 0.2], 0.4, 0.01
     ens = _hand_ensemble(xs, w, mode="unnormalized")
-    rec = particle.zakai_update(ens, ou_scenario.with_overrides(resample_threshold=0.0), dy=[dy], y_pre=[1.0])
+    rec = particle.zakai_update(ens, ou_scenario, dy=[dy], y_pre=[1.0])
 
     dens = norm.pdf(dy - np.asarray(xs), scale=np.sqrt(r))
     ref = norm.pdf(dy, scale=np.sqrt(r))
@@ -182,18 +184,20 @@ def test_systematic_resample_counts():
     assert np.all(np.abs(mean - n_out * w) <= 3 * se + 1e-12)
 
 
-def test_resample_trigger_matches_record(ou_scenario):
+def test_resample_trigger_matches_record(ou_scenario, monkeypatch):
     # identical positions keep the Bayes step neutral, so the initial
     # skew is exactly what the resampler sees
     skew = np.array([0.99] + [0.01 / 9] * 9)
     ens = _hand_ensemble([0.4] * 10, skew)
-    rec = particle.ks_update(ens, ou_scenario.with_overrides(resample_threshold=0.5), dy=[0.9], y_pre=[1.0])
+    assert particle.RESAMPLE_THRESHOLD == 0.5
+    rec = particle.ks_update(ens, ou_scenario, dy=[0.9], y_pre=[1.0])
     assert rec.resampled
     assert rec.ess_pre == pytest.approx(particle.effective_sample_size(skew), rel=1e-10)
     np.testing.assert_allclose(ens.weights, 0.1, atol=1e-14)
 
+    monkeypatch.setattr(particle, "RESAMPLE_THRESHOLD", 0.0)
     ens2 = _hand_ensemble([0.4] * 10, skew)
-    rec2 = particle.ks_update(ens2, ou_scenario.with_overrides(resample_threshold=0.0), dy=[0.9], y_pre=[1.0])
+    rec2 = particle.ks_update(ens2, ou_scenario, dy=[0.9], y_pre=[1.0])
     assert not rec2.resampled
     np.testing.assert_allclose(ens2.weights, skew, atol=1e-12)
 
@@ -302,7 +306,8 @@ def test_propagate_matches_reference_euler(euler_scenarios, antithetic):
     # partial substep; the second leg also starts from a spread cloud
     legs = (0.1234, 0.25)
     for name, scn in euler_scenarios.items():
-        ens = particle.init_ensemble(scn, 64, rng=np.random.default_rng(9))
+        ens = particle.init_ensemble(scn, 64)
+        ens.rng = np.random.default_rng(9)
         if antithetic:
             ens.rng = particle._AntitheticGenerator(ens.rng)
         ref_rng = np.random.default_rng(9)

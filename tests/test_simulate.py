@@ -2,14 +2,13 @@
 
 import dataclasses
 import re
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedfilt import model, rngs, simulate
-from schedfilt.errors import NumericalBlowup, ScheduleExhaustedHorizon, ValidationError
+from schedfilt import grid, model, particle, rngs, simulate
+from schedfilt.errors import HorizonTooShort, NumericalBlowup, ValidationError
 from schedfilt.presets import PRESETS, build_preset
 
 
@@ -215,20 +214,13 @@ def test_medical_threshold_path_events(medical_firing_scenario):
     assert shared > 0, "no visit fired several labels"
 
 
-def test_scheduled_time_beyond_horizon_warns():
+def test_scheduled_time_beyond_horizon_is_invalid():
+    # a time past the horizon is no event of the model: validate refuses it,
+    # so no simulation or check sees a schedule other than the one declared
     cfg = PRESETS["ou_kalman"]()
     sched = dataclasses.replace(cfg.schedule, times=(0.5, 1.0, 1.5, 5.0))
-    scn = model.validate(dataclasses.replace(cfg, schedule=sched))
-    with pytest.warns(ScheduleExhaustedHorizon) as record:
-        res = simulate.simulate_path(scn, path_id=0)
-    assert len(res.events) == 3
-    assert res.warnings
-    # the warning names the caller's line, for one path and for a batch
-    assert record[0].filename == __file__
-    with pytest.warns(ScheduleExhaustedHorizon) as record:
-        batch = list(simulate.simulate_batch(scn, range(3)))
-    assert record[0].filename == __file__
-    assert [len(r.events) for r in batch] == [3, 3, 3] and all(r.warnings for r in batch)
+    with pytest.raises(HorizonTooShort, match=r"^scheduled time 5.0 lies past the horizon 2.0$"):
+        model.validate(dataclasses.replace(cfg, schedule=sched))
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +288,39 @@ def test_run_ensemble_typed_errors(ou_scenario):
 
 # the times a finiteness check after every Euler step names: x0 = 10 blows
 # up before the first event (0.5), x0 = 1 between the first and the second,
-# x0 = 0.3 after the last (1.5)
+# x0 = 0.3 after the last (1.5).  pytest turns numpy's RuntimeWarning into an
+# error, so each blowup must surface as the typed error alone
 @pytest.mark.parametrize("x0, path_t, batch_t", [(10.0, 0.114, 0.113), (1.0, 0.819, 0.796), (0.3, 1.509, 1.509)])
 def test_blowup_is_typed_and_names_its_time(x0, path_t, batch_t):
     scn = model.validate(_override_model(PRESETS["ou_kalman"](), drift={"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, x0=(x0,)))
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {path_t}$"):
-            simulate.simulate_path(scn, path_id=0)
-        # the first blowup of the block, on one of paths 1-4
-        with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {batch_t}$"):
-            list(simulate.simulate_batch(scn, range(5)))
-        with pytest.raises(NumericalBlowup) as info:
-            simulate.run_ensemble(scn, 1, checkpoint_times=(0.05, 0.25))
+    with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {path_t}$"):
+        simulate.simulate_path(scn, path_id=0)
+    # the first blowup of the block, on one of paths 1-4
+    with pytest.raises(NumericalBlowup, match=rf"^state became non-finite at t = {batch_t}$"):
+        list(simulate.simulate_batch(scn, range(5)))
+    with pytest.raises(NumericalBlowup) as info:
+        simulate.run_ensemble(scn, 1, checkpoint_times=(0.05, 0.25))
     lo, hi = map(float, re.fullmatch(r"state became non-finite in \((\S+), (\S+)\]", str(info.value)).groups())
     assert lo < path_t <= hi
+    with pytest.raises(NumericalBlowup, match=r"^particle positions became non-finite near t=2.0$"):
+        particle.propagate(particle.init_ensemble(scn, 64), scn, scn.horizon)
+    with pytest.raises(NumericalBlowup, match=r"^the pilot cloud of the grid domain became non-finite$"):
+        grid.estimate_domain(scn)
+
+
+def test_observation_blowup_is_typed_and_names_its_time():
+    # a finite state whose observation increment exp(20 x) overflows at the
+    # last event, x near 39 at t = 1.9
+    cfg = _override_model(
+        PRESETS["ou_kalman"](),
+        drift={"kind": "const", "value": 20.0},
+        obs_fn={"kind": "state_expr_minus_y", "expr": {"kind": "exp", "child": {"kind": "affine", "slope": 20.0, "intercept": 0.0}}, "c": 0.0},
+    )
+    scn = model.validate(dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, times=(0.5, 1.0, 1.9))))
+    for run in (lambda: simulate.simulate_path(scn, path_id=0), lambda: list(simulate.simulate_batch(scn, range(3))),
+                lambda: simulate.run_ensemble(scn, 3)):
+        with pytest.raises(NumericalBlowup, match=r"^observation increment became non-finite at t = 1.9$"):
+            run()
 
 
 def test_ensemble_deterministic(ou_scenario):

@@ -67,7 +67,7 @@ def test_diffusion_generator_quadratic_identity(ou_scenario):
 def test_jump_generator_quadrature_vs_monte_carlo(ou_scenario, rng):
     # A phi(x) = E_xi[phi(x + c(x) xi)] - phi(x), xi ~ N(0, 0.04)
     phi = testfns.battery_function("bump", 1)
-    aphi = testfns.jump_generator(phi, ou_scenario, order=ou_scenario.filters.quad_order_jump)
+    aphi = testfns.jump_generator(phi, ou_scenario)
     x = np.array([[0.0], [0.5], [1.0]])
     n = 400_000
     xi = rng.normal(0.0, 0.2, size=n)
@@ -83,7 +83,7 @@ def test_jump_generator_zero_when_xi_degenerate():
     scn = build_preset("njode_style")
     assert scn.jump_law.xi_is_zero
     phi = testfns.battery_function("bump", 1)
-    aphi = testfns.jump_generator(phi, scn, order=20)
+    aphi = testfns.jump_generator(phi, scn)
     x = np.linspace(-1.0, 1.0, 5)[:, None]
     np.testing.assert_allclose(np.asarray(aphi(x)).reshape(-1), 0.0, atol=1e-15)
 
@@ -102,7 +102,7 @@ def test_jump_generator_discrete_law_enumerates():
     scn = model.validate(cfg)
 
     phi = testfns.battery_function("bump", 1)
-    aphi = testfns.jump_generator(phi, scn, order=8)
+    aphi = testfns.jump_generator(phi, scn)
     x = np.array([[0.3]])
     c = scn.jump_coeff(x)[0, 0, 0]
     total = 0.0
