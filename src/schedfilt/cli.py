@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import json
 import os
 import sys
@@ -37,12 +39,10 @@ from .kalman import run_filter as run_kalman_filter
 from .model import ValidatedScenario, scenario_from_json, scenario_to_json, validate
 from .particle import run_particle_filter
 from .presets import PRESETS, build_preset
-from .simulate import ObservationEvent, simulate_path
+from .simulate import _MERGE_TOL, ObservationEvent, simulate_path
 from .testfns import clipped_identity, clipped_square
 
 OUT_ROOT_ENV = "SCHEDFILT_OUT"
-
-FILTER_METHODS = ("kalman", "ks-particle", "zakai-particle", "grid")
 
 
 class CliError(Exception):
@@ -77,6 +77,12 @@ def _write_csv(path: Path, header: list, columns) -> str:
     cells = [_cells(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(map(",".join, [header, *zip(*cells)])) + "\r\n")
+    return path.name
+
+
+def _write_json(path: Path, data) -> str:
+    """Write data as indented JSON with sorted keys; returns the name."""
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path.name
 
 
@@ -124,9 +130,7 @@ def _write_manifest(out: Path, args, canonical_json: str, seed: int, outputs: li
         "created_unix": int(stamp) if stamp is not None else int(time.time()),
         "outputs": sorted(outputs),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +144,13 @@ def _path_columns(result, path_id: int, t_cells: list) -> list:
     return [np.full(index.shape, path_id), t_cells, *path.x.T, *path.y.T, (index > 0).astype(int), index]
 
 
-def _event_columns(events, path_id: int, n: int) -> list:
+def _write_events(path: Path, events, path_id: int, n: int) -> str:
+    """Write the events of one path, one row an event; returns the name."""
+    header = ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)]
     dy = np.reshape([ev.dy for ev in events], (len(events), n))
     index = np.array([ev.index for ev in events], dtype=int)
-    return [np.full(index.shape, path_id), index, np.array([ev.time for ev in events], dtype=float), *dy.T]
+    columns = [np.full(index.shape, path_id), index, np.array([ev.time for ev in events], dtype=float), *dy.T]
+    return _write_csv(path, header, columns)
 
 
 def cmd_simulate(args) -> int:
@@ -158,7 +165,6 @@ def cmd_simulate(args) -> int:
         + [f"y_{j + 1}" for j in range(n)]
         + ["is_jump_time", "event_index"]
     )
-    event_header = ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)]
 
     # one simulate_path call a path, the unit perfbench/tracer.py times and
     # counts steps on; simulate_batch would step them as blocks
@@ -168,7 +174,7 @@ def cmd_simulate(args) -> int:
         result = simulate_path(scenario, path_id=p, seed=seed)
         t_cells = t_cells or _cells(result.path.t)
         written.append(_write_csv(out / f"path_{p:04d}.csv", path_header, _path_columns(result, p, t_cells)))
-        written.append(_write_csv(out / f"events_{p:04d}.csv", event_header, _event_columns(result.events, p, n)))
+        written.append(_write_events(out / f"events_{p:04d}.csv", result.events, p, n))
     _write_manifest(out, args, canonical, seed, written)
     print(f"wrote {len(written)} files to {out}")
     return 0
@@ -177,28 +183,37 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # filter
 
-def _load_events(path: Path, path_id: int, n: int) -> list:
-    """The events of one path in an events CSV; Y- accumulates from zero."""
+def _load_events(path: Path, path_id: int, scenario: ValidatedScenario) -> list:
+    """The events of one path in an events CSV, in `i` order; Y- accumulates
+    from zero.  They must be events the scenario's schedule fires: times that
+    do not decrease, each within _MERGE_TOL of the k-th fixed time or of an
+    observation-grid time, and no more events than the schedule holds."""
+    n, schedule = scenario.n, scenario.schedule
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = [r for r in reader if int(r["path_id"]) == path_id]
-    except (OSError, KeyError, ValueError) as exc:
+            rows = [r for r in csv.DictReader(fh) if int(r["path_id"]) == path_id]
+        rows = [(int(r["i"]), float(r["T_i"]), [float(r[f"dY_{j + 1}"]) for j in range(n)]) for r in rows]
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: a row short of cells
         raise CliError(2, f"could not read events from {path}: {exc}") from exc
     if not rows:
         raise CliError(2, f"no event in {path} has path id {path_id}")
-    rows.sort(key=lambda r: int(r["i"]))
-    events = []
-    y = np.zeros(n)
-    for r in rows:
-        dy = np.array([float(r[f"dY_{j + 1}"]) for j in range(n)])
-        events.append(ObservationEvent(int(r["i"]), float(r["T_i"]), dy, y.copy()))
-        y = y + dy
-    return events
+    rows.sort(key=lambda r: r[0])
+    times = [t for _, t, _ in rows]
+    if schedule.kind == "deterministic":
+        slots = schedule.times
+    else:  # the nearest observation-grid time
+        slots = [min(schedule.obs_grid, key=lambda s: abs(s - t)) for t in times]
+    on_schedule = all(abs(t - s) <= _MERGE_TOL for t, s in zip(times, slots))  # false for a NaN time
+    if len(rows) > schedule.n_events or times != sorted(times) or not on_schedule:
+        raise CliError(2, f"the events of path id {path_id} in {path} are not on the scenario's schedule")
+    y_pre = np.cumsum([np.zeros(n), *(dy for *_, dy in rows)], axis=0)
+    return [ObservationEvent(i, t, np.array(dy), y) for (i, t, dy), y in zip(rows, y_pre)]
 
 
-def _kalman_columns(traj, m: int, n: int) -> list:
-    """Columns of a Kalman trajectory; innovation data sits on the post row."""
+def _run_kalman(scenario: ValidatedScenario, events, seed: int, args) -> tuple:
+    """Kalman trajectory; innovation data sits on the post row."""
+    m, n = scenario.m, scenario.n
+    traj = run_kalman_filter(scenario, events, scenario.reporting_times)
     T = len(traj.sides)
     index = np.zeros(T, dtype=int)
     innovation = np.full((T, n + n * n + m * n), None, dtype=object)
@@ -206,103 +221,74 @@ def _kalman_columns(traj, m: int, n: int) -> list:
     for k, ev in zip(pre_rows, traj.events):  # each post row follows its pre row
         index[k : k + 2] = ev.index
         innovation[k + 1] = np.concatenate([np.ravel(part) for part in (ev.innovation, ev.pred_cov, ev.gain)])
-    return [traj.times, traj.sides, *traj.means.T, *traj.covs.reshape(T, m * m).T, index, *innovation.T]
+    header = (
+        ["t", "side"]
+        + [f"m_{i + 1}" for i in range(m)]
+        + [f"P_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
+        + ["event_index"]
+        + [f"v_{i + 1}" for i in range(n)]
+        + [f"S_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+        + [f"K_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
+    )
+    columns = [traj.times, traj.sides, *traj.means.T, *traj.covs.reshape(T, m * m).T, index, *innovation.T]
+    return traj, {"kalman_trajectory.csv": (header, columns)}, {"kalman_m": traj.means[:, 0], "kalman_P": traj.covs[:, 0, 0]}
 
 
-def _particle_columns(traj, phis: list) -> list:
+def _run_particle(mode: str, scenario: ValidatedScenario, events, seed: int, args) -> tuple:
     """One row per phi at every reported time but the pre-event ones."""
+    # cap 1e6 makes the smooth clip exact to ~1e-13 on any sane domain
+    phis = [clipped_identity(1e6, name="x"), clipped_square(1e6, name="x_squared")]
+    traj = run_particle_filter(scenario, events, method=mode, n_particles=args.particles, seed=seed, phis=phis)
+    names = [phi.name for phi in phis]
     rows = np.array([k for k, side in enumerate(traj.sides) if side != "pre"], dtype=int)
-    ks = np.repeat(rows, len(phis))
+    ks = np.repeat(rows, len(names))
 
     def per_phi(values: dict) -> np.ndarray:
-        return np.stack([values[name] for name in phis], axis=1)[rows].ravel()
+        return np.stack([values[name] for name in names], axis=1)[rows].ravel()
 
-    estimates, ses = per_phi(traj.phi_estimates), per_phi(traj.phi_se)
-    return [traj.times[ks], phis * len(rows), estimates, ses, traj.ess[ks], traj.log_mass[ks]]
-
-
-def _density_columns(traj) -> list:
-    G, T = traj.x.size, len(traj.densities)
-    return [np.repeat(traj.times, G), np.repeat(traj.sides, G), np.tile(traj.x, T), np.ravel(traj.densities)]
+    header = ["t", "phi_name", "estimate", "estimate_se", "ess", "log_rho1"]
+    columns = [traj.times[ks], names * len(rows), per_phi(traj.phi_estimates), per_phi(traj.phi_se), traj.ess[ks], traj.log_mass[ks]]
+    return traj, {f"{mode}_trajectory.csv": (header, columns)}, {f"{mode}_m": traj.means[:, 0]}
 
 
-def _final_by_time(times, sides, values) -> dict:
-    """Last reported value at each distinct time (post overrides pre)."""
-    out = {}
-    for t, _side, v in zip(times, sides, values):
-        out[round(float(t), 10)] = float(v)
-    return out
+def _run_grid(scenario: ValidatedScenario, events, seed: int, args) -> tuple:
+    traj = grid_run_filter(scenario, events, n_nodes=args.nodes, collect_densities=args.dump_density)
+    files = {"grid_trajectory.csv": (["t", "side", "mean", "var"], [traj.times, traj.sides, traj.means[:, 0], traj.vars[:, 0]])}
+    if args.dump_density:
+        G, T = traj.x.size, len(traj.densities)
+        density = [np.repeat(traj.times, G), np.repeat(traj.sides, G), np.tile(traj.x, T), np.ravel(traj.densities)]
+        files["grid_density.csv"] = (["t", "side", "node_x", "p"], density)
+    return traj, files, {"grid_m": traj.means[:, 0], "grid_P": traj.vars[:, 0]}
+
+
+# Each --method value and its runner, in the column order of comparison.csv.
+# A runner returns the trajectory, its files as name -> (header, columns) and
+# its columns of comparison.csv, one value a trajectory row.
+FILTERS = {
+    "kalman": _run_kalman,
+    "ks-particle": functools.partial(_run_particle, "ks"),
+    "zakai-particle": functools.partial(_run_particle, "zakai"),
+    "grid": _run_grid,
+}
 
 
 def cmd_filter(args) -> int:
     scenario, canonical = _load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    m, n = scenario.m, scenario.n
     out = _out_dir(args, "filter")
-    methods = list(FILTER_METHODS) if args.method == "all" else [args.method]
-
-    file_for = {
-        "kalman": "kalman_trajectory.csv",
-        "ks-particle": "ks_trajectory.csv",
-        "zakai-particle": "zakai_trajectory.csv",
-        "grid": "grid_trajectory.csv",
-    }
 
     if args.events is not None:
-        events = _load_events(Path(args.events), args.path_id, n)
+        events = _load_events(Path(args.events), args.path_id, scenario)
     else:
         events = simulate_path(scenario, path_id=args.path_id, seed=seed).events
-    event_header = ["path_id", "i", "T_i"] + [f"dY_{j + 1}" for j in range(n)]
-    written = [_write_csv(out / "events_used.csv", event_header, _event_columns(events, args.path_id, n))]
+    written = [_write_events(out / "events_used.csv", events, args.path_id, scenario.n)]
 
-    reporting = scenario.reporting_times
-    columns: dict[str, dict] = {}
-    ran: list[str] = []
-    skipped: list[str] = []
-
-    for method in methods:
+    ran, skipped, comparison = [], [], {}
+    for method, runner in FILTERS.items():
+        if args.method not in (method, "all"):
+            continue
         try:
-            if method == "kalman":
-                traj = run_kalman_filter(scenario, events, reporting)
-                header = (
-                    ["t", "side"]
-                    + [f"m_{i + 1}" for i in range(m)]
-                    + [f"P_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-                    + ["event_index"]
-                    + [f"v_{i + 1}" for i in range(n)]
-                    + [f"S_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-                    + [f"K_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
-                )
-                written.append(_write_csv(out / file_for[method], header, _kalman_columns(traj, m, n)))
-                columns["kalman_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
-                columns["kalman_P"] = _final_by_time(traj.times, traj.sides, traj.covs[:, 0, 0])
-            elif method in ("ks-particle", "zakai-particle"):
-                mode = "ks" if method == "ks-particle" else "zakai"
-                # cap 1e6 makes the smooth clip exact to ~1e-13 on any sane domain
-                phis = [clipped_identity(1e6, name="x"), clipped_square(1e6, name="x_squared")]
-                traj = run_particle_filter(
-                    scenario,
-                    events,
-                    method=mode,
-                    n_particles=args.particles,
-                    seed=seed,
-                    reporting_times=reporting,
-                    phis=phis,
-                )
-                header = ["t", "phi_name", "estimate", "estimate_se", "ess", "log_rho1"]
-                written.append(_write_csv(out / file_for[method], header, _particle_columns(traj, [p.name for p in phis])))
-                key = "ks_m" if mode == "ks" else "zakai_m"
-                columns[key] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
-            elif method == "grid":
-                traj = grid_run_filter(
-                    scenario, events, reporting, n_nodes=args.nodes, collect_densities=args.dump_density
-                )
-                grid_columns = [traj.times, traj.sides, traj.means[:, 0], traj.vars[:, 0]]
-                written.append(_write_csv(out / file_for[method], ["t", "side", "mean", "var"], grid_columns))
-                if args.dump_density:
-                    written.append(_write_csv(out / "grid_density.csv", ["t", "side", "node_x", "p"], _density_columns(traj)))
-                columns["grid_m"] = _final_by_time(traj.times, traj.sides, traj.means[:, 0])
-                columns["grid_P"] = _final_by_time(traj.times, traj.sides, traj.vars[:, 0])
+            traj, files, columns = runner(scenario, events, seed, args)
         except UnsupportedScenario as exc:
             if args.method != "all":
                 raise
@@ -310,15 +296,19 @@ def cmd_filter(args) -> int:
             print(f"skipping {method}: {exc}", file=sys.stderr)
             continue
         ran.append(method)
+        written += [_write_csv(out / name, header, cols) for name, (header, cols) in files.items()]
+        comparison.update(columns)
 
     if not ran:
         raise IncompatibleMethod("no requested filter applies to this scenario")
 
     if args.method == "all":
-        col_names = [c for c in ("kalman_m", "kalman_P", "ks_m", "zakai_m", "grid_m", "grid_P") if c in columns]
-        times = sorted(set().union(*(columns[c] for c in col_names)))
-        comparison = [times] + [[columns[c].get(t) for t in times] for c in col_names]
-        written.append(_write_csv(out / "comparison.csv", ["t"] + col_names, comparison))
+        # every filter reports the rows of model.walk_events, in time order:
+        # keep the last row at each time, so post beats pre
+        times = [round(float(t), 10) for t in traj.times]
+        last = [k for k in range(len(times)) if k + 1 == len(times) or times[k + 1] != times[k]]
+        table = [[times[k] for k in last], *(values[last] for values in comparison.values())]
+        written.append(_write_csv(out / "comparison.csv", ["t", *comparison], table))
     _write_manifest(out, args, canonical, seed, written)
 
     print(f"ran {', '.join(ran)} on {len(events)} events; output in {out}")
@@ -335,23 +325,19 @@ def cmd_diagnose(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     out = _out_dir(args, "diagnose")
 
-    names = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else sorted(CHECKS)
+    names = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks is not None else sorted(CHECKS)
+    if not names:
+        raise CliError(2, f"--checks names no check; known: {', '.join(sorted(CHECKS))}")
     for name in names:
         if name not in CHECKS:
             raise CliError(2, f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
 
-    overrides: dict[str, dict] = {name: {} for name in names}
-    if args.paths is not None:
-        for name in ("compensator", "martingale"):
-            if name in overrides:
-                overrides[name]["n_paths"] = args.paths
-    if args.runs is not None:
-        for name in ("ks-residual", "zakai"):
-            if name in overrides:
-                overrides[name]["n_runs"] = args.runs
-    if args.particles is not None and "zakai" in overrides:
-        overrides["zakai"]["n_particles"] = args.particles
-
+    # each size flag given goes to every selected check that takes it
+    sizes = {"n_paths": args.paths, "n_runs": args.runs, "n_particles": args.particles}
+    overrides = {
+        name: {key: value for key, value in sizes.items() if value is not None and key in inspect.signature(CHECKS[name]).parameters}
+        for name in names
+    }
     reports = run_checks(scenario, names, seed=seed, negative_control=args.negative_control, **overrides)
     payload = {
         "scenario": args.scenario,
@@ -360,10 +346,7 @@ def cmd_diagnose(args) -> int:
         "checks": [rep.to_dict() for rep in reports],
         "all_passed": all(rep.passed for rep in reports),
     }
-    with open(out / "diagnostics_report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out, args, canonical, seed, ["diagnostics_report.json"])
+    _write_manifest(out, args, canonical, seed, [_write_json(out / "diagnostics_report.json", payload)])
 
     print(report_table(reports))
     return 0 if payload["all_passed"] else 1
@@ -400,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fil = sub.add_parser("filter", help="run filters along one event sequence")
     common(p_fil)
-    p_fil.add_argument("--method", choices=FILTER_METHODS + ("all",), default="all")
+    p_fil.add_argument("--method", choices=[*FILTERS, "all"], default="all")
     p_fil.add_argument("--events", default=None, help="events CSV to filter on (default: simulate one path)")
     p_fil.add_argument("--path-id", type=int, default=0, help="path id to simulate or select from --events")
     p_fil.add_argument("--particles", type=int, default=None, help="particle count override")

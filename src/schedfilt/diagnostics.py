@@ -7,7 +7,8 @@ are expected to fail; the test suite asserts both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,32 +43,8 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "statistic": float(self.statistic),
-            "tolerance": self.tolerance,
-            "sizes": _jsonable(self.sizes),
-            "seed": int(self.seed),
-            "negative_control": bool(self.negative_control),
-            "details": _jsonable(self.details),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+        """The report as JSON data: numpy scalars and arrays as Python ones."""
+        return json.loads(json.dumps(asdict(self), default=lambda v: v.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ _SMOOTH_SIGMA_FACTOR = 0.7071  # below sigma = 0.7071 dx a sampled Gaussian row 
 _TAIL_SDS = 8.6  # exp(-8.6**2 / 2) < 2**-53: a kernel row's dropped tail is below round-off
 _BOUNDARY_FRACTION = 0.02
 _BOUNDARY_TOL = 1e-6
-_MASS_TOL = 1e-8
 _INIT_SD_NODES = 3.0  # initial point mass widened to a 3-node Gaussian
 _PILOT_PATHS = 2048
 _PILOT_MAX_STEPS = 400

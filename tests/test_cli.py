@@ -178,6 +178,23 @@ def test_filter_all_methods(tmp_path, run_cli):
         assert gaps and max(gaps) <= bound, (exact, max(gaps, default=None))
 
 
+def test_comparison_rows_are_the_last_row_at_each_time(tmp_path, run_cli):
+    out = tmp_path / "fil"
+    proc = run_cli(["filter", "ou_kalman", "--method", "all", "--particles", "500", "--nodes", "200", "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "comparison.csv", newline="") as fc, open(out / "kalman_trajectory.csv", newline="") as fk:
+        comparison, kalman = list(csv.DictReader(fc)), list(csv.DictReader(fk))
+    with open(out / "grid_trajectory.csv", newline="") as fg:
+        grid = list(csv.DictReader(fg))
+    last = {}  # rounded time -> last row index, in row order
+    for k, row in enumerate(kalman):
+        last[round(float(row["t"]), 10)] = k
+    assert [float(r["t"]) for r in comparison] == list(last)
+    for row, k in zip(comparison, last.values()):
+        assert float(row["kalman_m"]) == float(kalman[k]["m_1"]) and float(row["kalman_P"]) == float(kalman[k]["P_11"])
+        assert float(row["grid_m"]) == float(grid[k]["mean"]) and float(row["grid_P"]) == float(grid[k]["var"])
+
+
 def test_filter_events_round_trip(tmp_path, run_cli):
     sim_out = tmp_path / "sim"
     sim = run_cli(["simulate", "ou_kalman", "--paths", "1", "--out", str(sim_out)], tmp_path)
@@ -200,6 +217,41 @@ def test_filter_events_round_trip(tmp_path, run_cli):
     assert filecmp.cmp(
         direct / "kalman_trajectory.csv", reload / "kalman_trajectory.csv", shallow=False
     )
+
+
+@pytest.mark.parametrize(
+    "header, rows, message",
+    [
+        ("path_id,i,T_i,dY_1", ["0,1,0.5,0.1", "0,2,abc,0.2"], "could not read events"),
+        ("path_id,i,T_i,dY_2", ["0,1,0.5,0.1"], "could not read events"),
+        ("path_id,i,T_i,dY_1", ["0,1,0.5,0.1", "0,x,1.0,0.2"], "could not read events"),
+        ("path_id,i,T_i,dY_1", ["0,1,0.7,0.1", "0,2,5.0,0.2"], "not on the scenario's schedule"),
+    ],
+    ids=["time_not_a_number", "no_dY_1_column", "index_not_an_integer", "times_off_the_schedule"],
+)
+def test_events_file_outside_the_contract_exits_2(tmp_path, run_cli, header, rows, message):
+    out, events = tmp_path / "fil", tmp_path / "events.csv"
+    events.write_text("\n".join([header, *rows]) + "\n")
+    proc = run_cli(["filter", "ou_kalman", "--method", "kalman", "--events", str(events), "--out", str(out)], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr, proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
+def test_threshold_events_round_trip(tmp_path, run_cli, medical_firing_scenario):
+    scenario = tmp_path / "medical_firing.json"
+    scenario.write_text(model.scenario_to_json(medical_firing_scenario.config), encoding="utf-8")
+    sim = run_cli(["simulate", str(scenario), "--paths", "4", "--out", str(tmp_path / "sim")], tmp_path)
+    assert sim.returncode == 0, sim.stderr
+    fired = [p for p in range(4) if len((tmp_path / "sim" / f"events_{p:04d}.csv").read_text().splitlines()) > 1]
+    assert fired
+    events = str(tmp_path / "sim" / f"events_{fired[0]:04d}.csv")
+    proc = run_cli(
+        ["filter", str(scenario), "--method", "grid", "--events", events, "--path-id", str(fired[0]), "--out", str(tmp_path / "fil")],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert filecmp.cmp(events, tmp_path / "fil" / "events_used.csv", shallow=False)
 
 
 def test_incompatible_method_exits_3(tmp_path, run_cli):
@@ -389,6 +441,14 @@ def test_scenario_outside_the_contract_exits_2(tmp_path, run_cli, edit, names):
     proc = run_cli(["simulate", str(path), "--paths", "3", "--out", str(out)], tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and names in proc.stderr, proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
+def test_empty_check_list_exits_2(tmp_path, run_cli):
+    out = tmp_path / "diag"
+    proc = run_cli(["diagnose", "ou_kalman", "--checks", ",", "--out", str(out)], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "names no check" in proc.stderr, proc.stderr
     assert not (out / "manifest.json").exists()
 
 

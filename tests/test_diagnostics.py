@@ -177,6 +177,32 @@ def test_report_round_trips_through_json(ou_scenario):
     assert back["passed"] is True
 
 
+def test_report_to_dict_holds_only_python_types():
+    rep = diagnostics.CheckReport(
+        name="hand",
+        passed=np.bool_(True),
+        statistic=np.float64(1.5),
+        tolerance="|t| <= 3",
+        sizes={"n_paths": np.int64(400), "shape": (2, np.int64(3))},
+        seed=np.int64(7),
+        details={"means": np.array([0.5, np.inf]), "flags": np.array([True, False]), "se": np.nan, "nested": {"t": np.float64(-np.inf)}},
+    )
+
+    def kinds(value):
+        if isinstance(value, dict):
+            return {type(value)}.union(*(kinds(v) for v in value.values()))
+        if isinstance(value, list):
+            return {type(value)}.union(*(kinds(v) for v in value))
+        return {type(value)}
+
+    data = rep.to_dict()
+    assert kinds(data) <= {dict, list, str, bool, int, float}
+    assert data["passed"] is True and data["seed"] == 7 and data["sizes"] == {"n_paths": 400, "shape": [2, 3]}
+    assert data["details"]["flags"] == [True, False] and data["details"]["means"] == [0.5, float("inf")]
+    assert np.isnan(data["details"]["se"]) and data["details"]["nested"]["t"] == -float("inf")
+    json.dumps(data)
+
+
 def test_run_checks_dispatch(ou_scenario):
     reports = diagnostics.run_checks(
         ou_scenario,
