@@ -197,6 +197,8 @@ def _load_events(path: Path, path_id: int, scenario: ValidatedScenario) -> list:
         raise CliError(2, f"could not read events from {path}: {exc}") from exc
     if not rows:
         raise CliError(2, f"no event in {path} has path id {path_id}")
+    if not np.all(np.isfinite([[t, *dy] for _, t, dy in rows])):
+        raise CliError(2, f"the events of path id {path_id} in {path} hold a non-finite time or increment")
     rows.sort(key=lambda r: r[0])
     times = [t for _, t, _ in rows]
     if schedule.kind == "deterministic":
@@ -218,8 +220,8 @@ def _run_kalman(scenario: ValidatedScenario, events, seed: int, args) -> tuple:
     index = np.zeros(T, dtype=int)
     innovation = np.full((T, n + n * n + m * n), None, dtype=object)
     pre_rows = [k for k, side in enumerate(traj.sides) if side == "pre"]
-    for k, ev in zip(pre_rows, traj.events):  # each post row follows its pre row
-        index[k : k + 2] = ev.index
+    for i, (k, ev) in enumerate(zip(pre_rows, traj.events), 1):  # each post row follows its pre row
+        index[k : k + 2] = i
         innovation[k + 1] = np.concatenate([np.ravel(part) for part in (ev.innovation, ev.pred_cov, ev.gain)])
     header = (
         ["t", "side"]
@@ -275,12 +277,11 @@ FILTERS = {
 def cmd_filter(args) -> int:
     scenario, canonical = _load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    out = _out_dir(args, "filter")
-
     if args.events is not None:
         events = _load_events(Path(args.events), args.path_id, scenario)
     else:
         events = simulate_path(scenario, path_id=args.path_id, seed=seed).events
+    out = _out_dir(args, "filter")
     written = [_write_events(out / "events_used.csv", events, args.path_id, scenario.n)]
 
     ran, skipped, comparison = [], [], {}
@@ -323,14 +324,13 @@ def cmd_filter(args) -> int:
 def cmd_diagnose(args) -> int:
     scenario, canonical = _load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    out = _out_dir(args, "diagnose")
-
     names = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks is not None else sorted(CHECKS)
     if not names:
         raise CliError(2, f"--checks names no check; known: {', '.join(sorted(CHECKS))}")
     for name in names:
         if name not in CHECKS:
             raise CliError(2, f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+    out = _out_dir(args, "diagnose")
 
     # each size flag given goes to every selected check that takes it
     sizes = {"n_paths": args.paths, "n_runs": args.runs, "n_particles": args.particles}

@@ -272,51 +272,53 @@ def check_zakai(
     reject it.
     """
     params = linear_params_from_scenario(scenario)  # raises IncompatibleMethod
+    times = _fixed_event_times(scenario)  # raises UnsupportedScenario
     if seed is None:
         seed = scenario.seed
     r = float(params.R[0, 0])
+    sims = list(simulate.simulate_batch(scenario, range(n_runs), seed))
+    dys = np.array([[float(np.asarray(e.dy).reshape(-1)[0]) for e in sim.events] for sim in sims]).reshape(n_runs, times.size)
+    beliefs = filter_events_vectorized(params, scenario.x0, dys, times)
+    pv = (beliefs.pred_var - r) * (2.0 if negative_control else 1.0)  # (K,): noiseless predictive variance
+
+    # compensated drift: the integral of (e^Gamma - 1) against the
+    # predictive law, split so each piece gets a matched Gaussian
+    # envelope: e^Gamma * f^i is the reference density itself (nodes
+    # from N(0, R)), and f^i integrates to one against its own nodes.
+    # Both pieces are then exact for Gaussians and the difference
+    # probes Gamma pointwise at machine precision.
     nodes, wts = gaussian_quad_points(0.0, r, _ZAKAI_QUAD_ORDER)
     log_ref = -0.5 * nodes**2 / r - 0.5 * np.log(2.0 * np.pi * r)
-    drift_vals, jump_rows = [], []
-    for run, sim in enumerate(simulate.simulate_batch(scenario, range(n_runs), seed)):
-        events = sim.events
-        times = np.array([e.time for e in events])
-        dys = np.array([[float(np.asarray(e.dy).reshape(-1)[0]) for e in events]])
-        beliefs = filter_events_vectorized(params, scenario.x0, dys, times)
-        pv_noiseless = beliefs.pred_var - r  # (K,)
+    pm, s_full = beliefs.pred_mean[:, :, None], beliefs.pred_var[:, None]  # (n_runs, K, 1) and (K, 1)
+    gammas = gamma_gaussian(pm, pv[:, None], r, nodes)
+    log_fi = -0.5 * (nodes - pm) ** 2 / s_full - 0.5 * np.log(2.0 * np.pi * s_full)
+    drift_vals = (np.sum(wts * np.exp(gammas + log_fi - log_ref), axis=-1) - 1.0).ravel().tolist()
 
-        # compensated drift: the integral of (e^Gamma - 1) against the
-        # predictive law, split so each piece gets a matched Gaussian
-        # envelope: e^Gamma * f^i is the reference density itself (nodes
-        # from N(0, R)), and f^i integrates to one against its own nodes.
-        # Both pieces are then exact for Gaussians and the difference
-        # probes Gamma pointwise at machine precision.
-        pm, s_full = beliefs.pred_mean[0, :, None], beliefs.pred_var[:, None]  # (K, 1): one row per event
-        pv = pv_noiseless[:, None] * (2.0 if negative_control else 1.0)
-        gammas = gamma_gaussian(pm, pv, r, nodes)
-        log_fi = -0.5 * (nodes - pm) ** 2 / s_full - 0.5 * np.log(2.0 * np.pi * s_full)
-        drift_vals.extend((np.sum(wts * np.exp(gammas + log_fi - log_ref), axis=1) - 1.0).tolist())
-
+    # mass jump: the particle mass ratio across each event against the
+    # closed-form density ratio at the observed increment
+    log_expected = -gamma_gaussian(beliefs.pred_mean, pv, r, dys)  # (n_runs, K)
+    jump_rows = []
+    for run, sim in enumerate(sims):
         traj = run_particle_filter(
-            scenario, events, method="zakai", n_particles=n_particles,
+            scenario, sim.events, method="zakai", n_particles=n_particles,
             seed=seed, reporting_times=[], run_label=run,
         )
-        for i, rec in enumerate(traj.events):
-            pv = float(pv_noiseless[i]) * (2.0 if negative_control else 1.0)
-            log_expected = -gamma_gaussian(float(beliefs.pred_mean[0, i]), pv, r, float(dys[0, i]))
-            log_ratio, rel_se = rec.log_mass_post - rec.log_mass_pre, rec.mass_ratio_rel_se
+        sides = np.asarray(traj.sides)
+        log_ratios = traj.log_mass[sides == "post"] - traj.log_mass[sides == "pre"]
+        for i, (rec, log_ratio) in enumerate(zip(traj.events, log_ratios.tolist())):
+            expected, rel_se = float(log_expected[run, i]), rec.mass_ratio_rel_se
             # |R - E| / SE with SE = R rel_se, in logs; a zero or non-finite
             # SE or ratio tests nothing, and a gap too wide for a float reads
             # inf: both fail
             testable = 0.0 < rel_se < np.inf and np.isfinite(log_ratio)
             with np.errstate(over="ignore"):
-                tstat = float(abs(np.expm1(log_expected - log_ratio)) / rel_se) if testable else np.inf
+                tstat = float(abs(np.expm1(expected - log_ratio)) / rel_se) if testable else np.inf
             jump_rows.append(
                 {
                     "run": run,
                     "event": i + 1,
                     "log_ratio": log_ratio,
-                    "log_expected": log_expected,
+                    "log_expected": expected,
                     "relative_se": rel_se,
                     "tstat": tstat,
                 }
@@ -362,10 +364,7 @@ def _reference_martingale_stats(scenario: ValidatedScenario, params: LinearModel
     remainder is the sum of event increments mass * (ratio * post_mean -
     pre_mean).
     """
-    sched = scenario.schedule
-    if sched.kind != "deterministic" or not sched.times:
-        raise UnsupportedScenario("the reference-measure check needs scheduled event times")
-    times = np.asarray(sched.times, dtype=float)
+    times = _fixed_event_times(scenario)
     r_ref = float(params.R[0, 0])
     for _ in range(_LIFT_ITERATES):
         probe = filter_events_vectorized(replace(params, R=[[r_ref]]), scenario.x0, np.zeros((1, len(times))), times)
@@ -388,6 +387,14 @@ def _reference_martingale_stats(scenario: ValidatedScenario, params: LinearModel
         "ses": ses.tolist(),
         "reference_noise_variance": r_ref,
     }
+
+
+def _fixed_event_times(scenario: ValidatedScenario) -> np.ndarray:
+    """The schedule's fixed event times, or UnsupportedScenario."""
+    sched = scenario.schedule
+    if sched.kind != "deterministic" or not sched.times:
+        raise UnsupportedScenario("the reference-measure check needs scheduled event times")
+    return np.asarray(sched.times, dtype=float)
 
 
 # ---------------------------------------------------------------------------

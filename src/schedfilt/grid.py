@@ -497,7 +497,7 @@ def grid_run_filter(
     def row(side: str) -> tuple:
         return dens.mean(), dens.var(), dens.p.copy() if collect_densities else None
 
-    times, sides, rows = walk_events(events, reporting_times, advance, update, row)
+    times, sides, rows, _ = walk_events(events, reporting_times, advance, update, row)
     means, variances, densities = zip(*rows)
     return GridTrajectory(
         times=np.asarray(times),

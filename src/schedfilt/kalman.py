@@ -90,16 +90,10 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class EventUpdate:
-    index: int
-    time: float
     innovation: np.ndarray  # (n,), or (P, n)
     gain: np.ndarray  # (m, n)
     pred_mean: np.ndarray  # (n,) or (P, n): A m- - C y- + b, pre-jump predictive mean of dY
     pred_cov: np.ndarray  # (n, n): A P- A^T + R, pre-jump predictive cov of dY
-    mean_pre: np.ndarray
-    cov_pre: np.ndarray
-    mean_post: np.ndarray
-    cov_post: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,12 +172,12 @@ def jump_update(
     params: LinearModelParams,
     dy: np.ndarray,
     y_pre: np.ndarray,
-    index: int = 0,
 ) -> tuple[GaussianBelief, EventUpdate]:
     """Condition on one observation increment and apply the signal jump.
 
     For a block of P paths (mean (P, m)), dy and y_pre hold one row per
-    path and the record's pred_mean and innovation are (P, n).
+    path and the record's pred_mean and innovation are (P, n).  The belief
+    passed in and the one returned are the states before and after.
     """
     A, C, Q, R = params.A, params.C, params.Q, params.R
     m_pre, p_pre = belief.mean, belief.cov
@@ -202,20 +196,8 @@ def jump_update(
     if not (np.all(np.isfinite(mean_post)) and np.all(np.isfinite(cov_post))):
         raise NumericalBlowup("filter state became non-finite at an event update")
 
-    updated = GaussianBelief(belief.time, mean_post, cov_post)
-    record = EventUpdate(
-        index=index,
-        time=belief.time,
-        innovation=v,
-        gain=gain,
-        pred_mean=pred_mean,
-        pred_cov=pred_cov,
-        mean_pre=m_pre.copy(),
-        cov_pre=p_pre.copy(),
-        mean_post=mean_post,
-        cov_post=cov_post,
-    )
-    return updated, record
+    record = EventUpdate(innovation=v, gain=gain, pred_mean=pred_mean, pred_cov=pred_cov)
+    return GaussianBelief(belief.time, mean_post, cov_post), record
 
 
 def run_filter(
@@ -233,18 +215,16 @@ def run_filter(
         params = linear_params_from_scenario(scenario)
     belief = GaussianBelief(0.0, scenario.x0.astype(float).copy(), np.zeros((params.m, params.m)))
 
-    updates: list[EventUpdate] = []
-
     def advance(t: float) -> None:
         nonlocal belief
         belief = propagate(belief, params, t - belief.time)
 
-    def update(event, index: int) -> None:
+    def update(event, index: int) -> EventUpdate:
         nonlocal belief
-        belief, record = jump_update(belief, params, event.dy, event.y_pre, index=index)
-        updates.append(record)
+        belief, record = jump_update(belief, params, event.dy, event.y_pre)
+        return record
 
-    times, sides, rows = walk_events(
+    times, sides, rows, updates = walk_events(
         events, reporting_times, advance, update, lambda side: (belief.mean.copy(), belief.cov.copy())
     )
     means, covs = zip(*rows)
@@ -296,27 +276,29 @@ def filter_events_vectorized(
     n_paths = dys.shape[0]
     belief = GaussianBelief(0.0, np.full((n_paths, 1), float(np.asarray(x0).reshape(-1)[0])), np.zeros((1, 1)))
     y = np.zeros((n_paths, 1))
-    records = []
+    pre, post, records = [], [], []
     for i, ti in enumerate(times):
         belief = propagate(belief, params, ti - belief.time)
-        belief, record = jump_update(belief, params, dys[:, i : i + 1], y, index=i + 1)
+        pre.append(belief)
+        belief, record = jump_update(belief, params, dys[:, i : i + 1], y)
+        post.append(belief)
         records.append(record)
         y = y + dys[:, i : i + 1]
 
-    def per_path(name: str) -> np.ndarray:
-        return np.array([getattr(r, name)[:, 0] for r in records]).reshape(len(times), n_paths).T
+    def per_path(steps: list, name: str) -> np.ndarray:
+        return np.array([getattr(s, name)[:, 0] for s in steps]).reshape(len(times), n_paths).T
 
-    def shared(name: str) -> np.ndarray:
-        return np.array([getattr(r, name)[0, 0] for r in records], dtype=float)
+    def shared(steps: list, name: str) -> np.ndarray:
+        return np.array([getattr(s, name)[0, 0] for s in steps], dtype=float)
 
     return VecEventBeliefs(
-        pred_mean=per_path("pred_mean"),
-        pred_var=shared("pred_cov"),
-        innovation=per_path("innovation"),
-        post_mean=per_path("mean_post"),
-        post_var=shared("cov_post"),
-        pre_mean=per_path("mean_pre"),
-        pre_var=shared("cov_pre"),
+        pred_mean=per_path(records, "pred_mean"),
+        pred_var=shared(records, "pred_cov"),
+        innovation=per_path(records, "innovation"),
+        post_mean=per_path(post, "mean"),
+        post_var=shared(post, "cov"),
+        pre_mean=per_path(pre, "mean"),
+        pre_var=shared(pre, "cov"),
     )
 
 

@@ -459,7 +459,7 @@ def _validate_filter_settings(fs: FilterSettings) -> None:
 # the event/reporting walk shared by every filter
 
 
-def walk_events(events, reporting_times, advance, update, row) -> tuple[list, list, list]:
+def walk_events(events, reporting_times, advance, update, row) -> tuple[list, list, list, list]:
     """Walk a filter through its events and reporting times, recording rows.
 
     Rows: one "interior" row at t = 0; a "pre" and a "post" row at each
@@ -470,14 +470,16 @@ def walk_events(events, reporting_times, advance, update, row) -> tuple[list, li
     after the last one are still applied.
 
     advance(t) moves the filter to t, update(event, index) applies one
-    event (index from 1 in time order) and row(side) returns the values
-    the filter records at a row.  Returns the rows' times (the event or
-    reporting time the walk is at), their sides and the values of row.
+    event (index from 1 in time order) and returns its record, and
+    row(side) returns the values the filter records at a row.  Returns the
+    rows' times (the event or reporting time the walk is at), their sides,
+    the values of row and the records of the events in time order.
     """
     pending = sorted(events, key=lambda e: float(e.time))
     times: list[float] = []
     sides: list[str] = []
     rows: list = []
+    records: list = []
 
     def record(t: float, side: str) -> None:
         times.append(t)
@@ -491,14 +493,14 @@ def walk_events(events, reporting_times, advance, update, row) -> tuple[list, li
             t_row = float(pending[i].time)
             advance(t_row)
             record(t_row, "pre")
-            update(pending[i], i + 1)
+            records.append(update(pending[i], i + 1))
             record(t_row, "post")
             i += 1
         if np.isfinite(t) and t - t_row > 1e-12:
             advance(t)
             record(t, "interior")
             t_row = t
-    return times, sides, rows
+    return times, sides, rows, records
 
 
 # ---------------------------------------------------------------------------

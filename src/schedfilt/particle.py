@@ -1,9 +1,9 @@
 """Particle approximations of the conditional law.
 
-Two modes share one ensemble type.  The normalized mode reweights by the
-measurement-noise likelihood and renormalizes at every event, so the
-weighted ensemble tracks the conditional law directly.  The unnormalized
-mode multiplies instead by the likelihood ratio
+Two modes share one ensemble type.  The normalized ("ks") mode reweights
+by the measurement-noise likelihood and renormalizes at every event, so
+the weighted ensemble tracks the conditional law directly.  The
+unnormalized ("zakai") mode multiplies instead by the likelihood ratio
 
     density_eta(dy - f(x_j, y_pre)) / density_eta(dy),
 
@@ -53,7 +53,7 @@ __all__ = [
     "run_particle_filter",
 ]
 
-MODES = ("normalized", "unnormalized")
+MODES = ("ks", "zakai")  # the order fixes each mode's stream label
 # resample when the effective sample size falls below this fraction of N
 RESAMPLE_THRESHOLD = 0.5
 
@@ -63,7 +63,7 @@ class ParticleEnsemble:
     """Weighted particle cloud at a point in time.
 
     log_w is kept normalized (logsumexp zero); log_mass accumulates the
-    total unnormalized mass, fixed at 0.0 in normalized mode.
+    total unnormalized mass, fixed at 0.0 in "ks" mode.
     """
 
     x: np.ndarray  # (N, m)
@@ -94,20 +94,16 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class EventRecord:
-    index: int
-    time: float
     ess_pre: float
     resampled: bool
-    log_mass_pre: float  # log rho(1) before the event, 0.0 in normalized mode
-    log_mass_post: float
-    mass_ratio_rel_se: float | None  # unnormalized mode: SE of rho_post(1)/rho_pre(1), relative to it
+    mass_ratio_rel_se: float | None  # "zakai" mode: SE of rho_post(1)/rho_pre(1), relative to it
 
 
 def init_ensemble(
     scenario: ValidatedScenario,
     n_particles: int,
     seed: int | None = None,
-    mode: str = "normalized",
+    mode: str = "ks",
     run_label: int = 0,
 ) -> ParticleEnsemble:
     """All particles at the known initial state, equal weights."""
@@ -194,7 +190,7 @@ def ks_update(
     index: int = 0,
 ) -> EventRecord:
     """Normalized-mode event: Bayes reweight, resample if needed, jump."""
-    if ensemble.mode != "normalized":
+    if ensemble.mode != "ks":
         raise IncompatibleMethod("ks_update requires a normalized ensemble")
     return _event_update(ensemble, scenario, dy, y_pre, index, unnormalized=False)
 
@@ -207,7 +203,7 @@ def zakai_update(
     index: int = 0,
 ) -> EventRecord:
     """Unnormalized-mode event: likelihood-ratio reweight, mass tracked."""
-    if ensemble.mode != "unnormalized":
+    if ensemble.mode != "zakai":
         raise IncompatibleMethod("zakai_update requires an unnormalized ensemble")
     if not scenario.jump_law.eta_has_density:
         raise IncompatibleMethod("unnormalized mode needs a measurement-noise density (atomic noise laws are rejected)")
@@ -228,7 +224,6 @@ def _event_update(
 
     eta_hat = dy[None, :] - scenario.obs_fn(ensemble.x, y_pre)  # (N, n)
     loglik = law.eta_log_density(eta_hat)  # (N,)
-    log_mass_pre = ensemble.log_mass
     log_ref = float(law.eta_log_density(dy[None, :])[0]) if unnormalized else 0.0
     if not np.isfinite(log_ref):
         raise ZeroReferenceDensity(f"reference density vanished at dy={dy}")
@@ -243,7 +238,7 @@ def _event_update(
         # r_j / R - 1 = expm1(loglik_j - log_total), so the delta-method
         # standard error relative to R stays finite where r_j would overflow
         rel_se = float(np.sqrt(np.sum(ensemble.weights**2 * np.expm1(loglik - log_total) ** 2)))
-        ensemble.log_mass = log_mass_pre + log_total - log_ref
+        ensemble.log_mass = ensemble.log_mass + log_total - log_ref
     ensemble.log_w = log_w - log_total
 
     ess_pre, resampled = _maybe_resample(ensemble)
@@ -251,15 +246,7 @@ def _event_update(
         eta_hat = dy[None, :] - scenario.obs_fn(ensemble.x, y_pre)
     _apply_jumps(ensemble, scenario, eta_hat)
 
-    return EventRecord(
-        index=index,
-        time=ensemble.time,
-        ess_pre=ess_pre,
-        resampled=resampled,
-        log_mass_pre=log_mass_pre,
-        log_mass_post=ensemble.log_mass,
-        mass_ratio_rel_se=rel_se,
-    )
+    return EventRecord(ess_pre=ess_pre, resampled=resampled, mass_ratio_rel_se=rel_se)
 
 
 def gamma_gaussian(pred_mean, pred_var, r: float, y) -> float | np.ndarray:
@@ -274,8 +261,10 @@ def gamma_gaussian(pred_mean, pred_var, r: float, y) -> float | np.ndarray:
         raise NonpositiveR(f"measurement noise variance must be positive, got {r}")
     if np.any(np.asarray(pred_var) < 0.0):
         raise ValidationError(f"predictive variance must be nonnegative, got {pred_var}")
-    s = pred_var + r
-    gamma = 0.5 * np.log(s / r) - y**2 / (2.0 * r) + (y - pred_mean) ** 2 / (2.0 * s)
+    s, d = pred_var + r, y - pred_mean
+    # products, not ** 2: a float's ** 2 is libm's pow, which can miss the
+    # rounded square by an ulp, so scalar calls would part from array ones
+    gamma = 0.5 * np.log(s / r) - y * y / (2.0 * r) + d * d / (2.0 * s)
     return float(gamma) if np.ndim(gamma) == 0 else gamma
 
 
@@ -361,12 +350,11 @@ def run_particle_filter(
     recorded with delta-method standard errors at every reported time.
     Rows follow the layout of `model.walk_events`.
     """
-    if method not in ("ks", "zakai"):
+    if method not in MODES:
         raise ValidationError("method must be 'ks' or 'zakai'")
     if n_particles is None:
         n_particles = scenario.filters.n_particles
-    mode = "normalized" if method == "ks" else "unnormalized"
-    ens = init_ensemble(scenario, n_particles, seed=seed, mode=mode, run_label=run_label)
+    ens = init_ensemble(scenario, n_particles, seed=seed, mode=method, run_label=run_label)
     if antithetic:
         ens.rng = _AntitheticGenerator(ens.rng)
         if n_particles % 2:
@@ -377,11 +365,10 @@ def run_particle_filter(
     snap = {round(float(t), 12) for t in snapshot_times}
     event_update = ks_update if method == "ks" else zakai_update
 
-    event_records: list[EventRecord] = []
     snapshots: list = []
 
-    def update(event, index: int) -> None:
-        event_records.append(event_update(ens, scenario, event.dy, event.y_pre, index=index))
+    def update(event, index: int) -> EventRecord:
+        return event_update(ens, scenario, event.dy, event.y_pre, index=index)
 
     def row(side: str) -> tuple:
         if round(ens.time, 12) in snap and side != "pre":
@@ -391,7 +378,9 @@ def run_particle_filter(
         estimates = [float(np.sum(w * v)) for v in vals]
         return ens.ess(), ens.log_mass, ens.mean(), ens.var(), estimates, [estimate_se(v, w) for v in vals]
 
-    times, sides, rows = walk_events(events, reporting_times, lambda t: propagate(ens, scenario, t), update, row)
+    times, sides, rows, event_records = walk_events(
+        events, reporting_times, lambda t: propagate(ens, scenario, t), update, row
+    )
     ess, log_mass, means, variances, estimates, ses = (np.asarray(column) for column in zip(*rows))
     names = [p.name for p in phis]
     return ParticleTrajectory(

@@ -226,8 +226,13 @@ def test_filter_events_round_trip(tmp_path, run_cli):
         ("path_id,i,T_i,dY_2", ["0,1,0.5,0.1"], "could not read events"),
         ("path_id,i,T_i,dY_1", ["0,1,0.5,0.1", "0,x,1.0,0.2"], "could not read events"),
         ("path_id,i,T_i,dY_1", ["0,1,0.7,0.1", "0,2,5.0,0.2"], "not on the scenario's schedule"),
+        ("path_id,i,T_i,dY_1", ["0,1,0.5,nan", "0,2,1.0,0.2"], "non-finite"),
+        ("path_id,i,T_i,dY_1", ["0,1,0.5,0.1", "0,2,inf,0.2"], "non-finite"),
     ],
-    ids=["time_not_a_number", "no_dY_1_column", "index_not_an_integer", "times_off_the_schedule"],
+    ids=[
+        "time_not_a_number", "no_dY_1_column", "index_not_an_integer", "times_off_the_schedule",
+        "dY_not_finite", "time_not_finite",
+    ],
 )
 def test_events_file_outside_the_contract_exits_2(tmp_path, run_cli, header, rows, message):
     out, events = tmp_path / "fil", tmp_path / "events.csv"
@@ -235,7 +240,22 @@ def test_events_file_outside_the_contract_exits_2(tmp_path, run_cli, header, row
     proc = run_cli(["filter", "ou_kalman", "--method", "kalman", "--events", str(events), "--out", str(out)], tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr, proc.stderr
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose", "ou_kalman", "--checks", "compensator,nosuch"],
+        ["filter", "ou_kalman", "--events", "missing.csv"],
+    ],
+    ids=["unknown_check", "missing_events_file"],
+)
+def test_refused_run_leaves_no_directory(tmp_path, run_cli, argv):
+    out = tmp_path / "out"
+    proc = run_cli([*argv, "--out", str(out)], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert not out.exists()
 
 
 def test_threshold_events_round_trip(tmp_path, run_cli, medical_firing_scenario):
@@ -449,7 +469,7 @@ def test_empty_check_list_exits_2(tmp_path, run_cli):
     proc = run_cli(["diagnose", "ou_kalman", "--checks", ",", "--out", str(out)], tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "names no check" in proc.stderr, proc.stderr
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_diagnose_pass_and_negative_control(tmp_path, run_cli):

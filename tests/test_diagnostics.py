@@ -113,6 +113,29 @@ def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):
     assert rep.details["mass_jump"]["rows"][0]["tstat"] == np.inf
 
 
+def test_zakai_refuses_threshold_schedule_before_running(ou_scenario, monkeypatch):
+    # the reference sub-check needs fixed event times: a threshold schedule
+    # is refused before any path is simulated or particle filter run
+    schedule = model.Schedule(kind="threshold", thresholds=(0.0, -0.5), obs_grid=(0.5, 1.0, 1.5))
+    threshold = model.validate(dataclasses.replace(ou_scenario.config, schedule=schedule))
+    calls = {"simulate_batch": 0, "run_particle_filter": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(simulate, "simulate_batch")
+    counted(diagnostics, "run_particle_filter")
+    with pytest.raises(UnsupportedScenario, match="scheduled event times"):
+        diagnostics.check_zakai(threshold, n_particles=500)
+    assert calls == {"simulate_batch": 0, "run_particle_filter": 0}
+
+
 @pytest.mark.parametrize("x0", [1e3, 1e4])
 def test_zakai_mass_jump_is_finite_far_from_zero(ou_scenario, x0):
     # far from 0 both the particle mass ratio and the closed-form one exceed
@@ -125,8 +148,9 @@ def test_zakai_mass_jump_is_finite_far_from_zero(ou_scenario, x0):
         warnings.simplefilter("error", RuntimeWarning)
         traj = particle.run_particle_filter(far, events, method="zakai", n_particles=5000, reporting_times=[])
         rep = diagnostics.check_zakai(far, n_runs=2, n_particles=5000)
-    for rec in traj.events:
-        assert np.isfinite(rec.log_mass_post) and 0.0 < rec.mass_ratio_rel_se < np.inf
+    post = [k for k, side in enumerate(traj.sides) if side == "post"]
+    for k, rec in zip(post, traj.events, strict=True):
+        assert np.isfinite(traj.log_mass[k]) and 0.0 < rec.mass_ratio_rel_se < np.inf
     assert np.isfinite(rep.details["mass_jump"]["worst_tstat"])
 
 

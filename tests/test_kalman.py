@@ -73,27 +73,27 @@ def test_propagation_semigroup(d1, d2, m0, p0):
 def test_event_update_hand_example(ou_params):
     # m-=0.6, P-=0.05, R=0.01, Q=0.04, dy=0.94: v=0.34, S=0.06, K=5/6,
     # post mean 53/60, post var 1/24 + 1/25
-    _, up = kalman.jump_update(_belief(0.5, 0.6, 0.05), ou_params, np.array([0.94]), np.zeros(1))
+    post, up = kalman.jump_update(_belief(0.5, 0.6, 0.05), ou_params, np.array([0.94]), np.zeros(1))
     assert float(up.innovation[0]) == pytest.approx(0.34, abs=1e-15)
     assert float(up.pred_cov[0, 0]) == pytest.approx(0.06, abs=1e-15)
     assert float(up.gain[0, 0]) == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert float(up.mean_post[0]) == pytest.approx(53.0 / 60.0, abs=1e-14)
-    assert float(up.cov_post[0, 0]) == pytest.approx(29.0 / 600.0, abs=1e-14)
+    assert float(post.mean[0]) == pytest.approx(53.0 / 60.0, abs=1e-14)
+    assert float(post.cov[0, 0]) == pytest.approx(29.0 / 600.0, abs=1e-14)
 
 
 def test_huge_noise_keeps_prior(ou_params):
     big = dataclasses.replace(ou_params, R=np.array([[1e12]]))
-    _, up = kalman.jump_update(_belief(0.5, 0.6, 0.05), big, np.array([0.94]), np.zeros(1))
-    assert float(up.mean_post[0]) == pytest.approx(0.6, abs=1e-9)
-    assert float(up.cov_post[0, 0]) == pytest.approx(0.05 + 0.04, abs=1e-9)
+    post, _ = kalman.jump_update(_belief(0.5, 0.6, 0.05), big, np.array([0.94]), np.zeros(1))
+    assert float(post.mean[0]) == pytest.approx(0.6, abs=1e-9)
+    assert float(post.cov[0, 0]) == pytest.approx(0.05 + 0.04, abs=1e-9)
 
 
 def test_zero_noise_trusts_observation(ou_params):
     clean = dataclasses.replace(ou_params, R=np.array([[0.0]]))
-    _, up = kalman.jump_update(_belief(0.5, 0.6, 0.05), clean, np.array([0.94]), np.zeros(1))
+    post, _ = kalman.jump_update(_belief(0.5, 0.6, 0.05), clean, np.array([0.94]), np.zeros(1))
     # dy = x at R=0: the posterior collapses onto dy, then the jump widens it
-    assert float(up.mean_post[0]) == pytest.approx(0.94, abs=1e-12)
-    assert float(up.cov_post[0, 0]) == pytest.approx(0.04, abs=1e-12)
+    assert float(post.mean[0]) == pytest.approx(0.94, abs=1e-12)
+    assert float(post.cov[0, 0]) == pytest.approx(0.04, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +160,14 @@ def test_vectorized_rows_equal_run_filter(preset):
     dys = np.array([[float(e.dy[0]) for e in events] for events in paths])
     beliefs = kalman.filter_events_vectorized(params, scn.x0, dys, [e.time for e in paths[0]])
     for p, events in enumerate(paths):
-        records = kalman.run_filter(scn, events, []).events
+        traj = kalman.run_filter(scn, events, [])
+        pre, post = ([k for k, s in enumerate(traj.sides) if s == side] for side in ("pre", "post"))
+        records = traj.events
         pairs = {
-            "pre_mean": [r.mean_pre[0] for r in records],
-            "pre_var": [r.cov_pre[0, 0] for r in records],
-            "post_mean": [r.mean_post[0] for r in records],
-            "post_var": [r.cov_post[0, 0] for r in records],
+            "pre_mean": traj.means[pre, 0],
+            "pre_var": traj.covs[pre, 0, 0],
+            "post_mean": traj.means[post, 0],
+            "post_var": traj.covs[post, 0, 0],
             "pred_mean": [r.pred_mean[0] for r in records],
             "pred_var": [r.pred_cov[0, 0] for r in records],
             "innovation": [r.innovation[0] for r in records],
@@ -178,15 +180,21 @@ def test_vectorized_rows_equal_run_filter(preset):
 def test_jump_update_block_equals_single_paths(ou_params):
     rng = np.random.default_rng(3)
     means, dys, y_pre = rng.normal(size=(3, 5, 1))
-    block, rec = kalman.jump_update(kalman.GaussianBelief(0.5, means, np.array([[0.05]])), ou_params, dys, y_pre)
+    block_pre = kalman.GaussianBelief(0.5, means.copy(), np.array([[0.05]]))
+    block, rec = kalman.jump_update(block_pre, ou_params, dys, y_pre)
     for p in range(5):
-        one, rec_one = kalman.jump_update(_belief(0.5, means[p, 0], 0.05), ou_params, dys[p], y_pre[p])
-        assert np.array_equal(block.mean[p], one.mean)
-        assert np.array_equal(block.cov, one.cov)
-        for name in ("innovation", "pred_mean", "mean_pre", "mean_post"):
+        one_pre = _belief(0.5, means[p, 0], 0.05)
+        one, rec_one = kalman.jump_update(one_pre, ou_params, dys[p], y_pre[p])
+        # the states before and after the event
+        for name, block_state, one_state in (("pre", block_pre, one_pre), ("post", block, one)):
+            assert np.array_equal(block_state.mean[p], one_state.mean), name
+            assert np.array_equal(block_state.cov, one_state.cov), name
+        for name in ("innovation", "pred_mean"):
             assert np.array_equal(getattr(rec, name)[p], getattr(rec_one, name)), name
-        for name in ("gain", "pred_cov", "cov_pre", "cov_post"):
+        for name in ("gain", "pred_cov"):
             assert np.array_equal(getattr(rec, name), getattr(rec_one, name)), name
+    # the belief passed in still holds the state before the event
+    assert np.array_equal(block_pre.mean, means)
 
 
 def test_vectorized_filter_without_events(ou_params):

@@ -41,7 +41,7 @@ def _run(method, scenario, events, reporting_times):
 
 def _check_event_rows(traj, records, n_events):
     """Each event gives a pre row then a post row at the same time, the
-    update moved the filter, and the records count events from 1."""
+    update moved the filter, and there is one record an event."""
     assert traj.times.shape[0] == len(traj.sides) == traj.means.shape[0]
     pre = [k for k, side in enumerate(traj.sides) if side == "pre"]
     assert len(pre) == traj.sides.count("post") == n_events
@@ -50,7 +50,7 @@ def _check_event_rows(traj, records, n_events):
         assert traj.times[k + 1] == traj.times[k]
         assert np.all(traj.means[k + 1] != traj.means[k])
     if records is not None:
-        assert [rec.index for rec in records] == list(range(1, n_events + 1))
+        assert len(records) == n_events
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +89,26 @@ def test_row_times_are_the_walks(ou_scenario, ou_events):
     first, second, third = ou_events
     events = [first, dataclasses.replace(second, time=first.time + 4e-13), third]
     reporting = [0.1234, 0.77, 1.9]
-    times, sides, _ = model.walk_events(events, reporting, lambda t: None, lambda e, i: None, lambda side: None)
+    times, sides, _, _ = model.walk_events(events, reporting, lambda t: None, lambda e, i: None, lambda side: None)
     assert times[4:6] == [first.time + 4e-13] * 2 and sides[4:6] == ["pre", "post"]
     for method in FILTERS:
         traj, _ = _run(method, ou_scenario, events, reporting)
         np.testing.assert_array_equal(traj.times, times, err_msg=method)
         assert traj.sides == sides, method
+
+
+def test_walk_returns_each_update_once_in_event_order(ou_events):
+    # events given out of order are applied, and their records returned,
+    # in time order, one record an event, numbered from 1
+    shuffled = [ou_events[2], ou_events[0], ou_events[1]]
+    calls = []
+
+    def update(event, index):
+        calls.append((event.time, index))
+        return calls[-1]
+
+    times, sides, rows, records = model.walk_events(shuffled, [0.25, 2.0], lambda t: None, update, lambda side: side)
+    assert records == calls == [(0.5, 1), (1.0, 2), (1.5, 3)]
+    assert rows == sides and len(times) == len(sides) == 2 * len(ou_events) + 3
+    _, _, _, records = model.walk_events([], [0.25], lambda t: None, update, lambda side: None)
+    assert records == [] and len(calls) == 3

@@ -21,7 +21,7 @@ from schedfilt.quad import gaussian_quad_points
 from schedfilt.testfns import clipped_identity
 
 
-def _hand_ensemble(positions, weights, mode="normalized", seed=7, time=0.5):
+def _hand_ensemble(positions, weights, mode="ks", seed=7, time=0.5):
     x = np.asarray(positions, dtype=float).reshape(-1, 1)
     w = np.asarray(weights, dtype=float)
     return particle.ParticleEnsemble(
@@ -71,14 +71,15 @@ def test_two_atom_bayes_enumeration(ou_scenario, monkeypatch):
 def test_three_atom_zakai_mass_oracle(ou_scenario, monkeypatch):
     monkeypatch.setattr(particle, "RESAMPLE_THRESHOLD", 0.0)
     xs, w, dy, r = [0.2, 0.6, 1.1], [0.5, 0.3, 0.2], 0.4, 0.01
-    ens = _hand_ensemble(xs, w, mode="unnormalized")
+    ens = _hand_ensemble(xs, w, mode="zakai")
+    log_mass_pre = ens.log_mass
     rec = particle.zakai_update(ens, ou_scenario, dy=[dy], y_pre=[1.0])
 
     dens = norm.pdf(dy - np.asarray(xs), scale=np.sqrt(r))
     ref = norm.pdf(dy, scale=np.sqrt(r))
     ratios = dens / ref
     expect_ratio = float(np.dot(w, ratios))
-    assert rec.log_mass_post - rec.log_mass_pre == pytest.approx(np.log(expect_ratio), abs=1e-12)
+    assert ens.log_mass - log_mass_pre == pytest.approx(np.log(expect_ratio), abs=1e-12)
     assert ens.log_mass == pytest.approx(np.log(expect_ratio), abs=1e-12)
     # delta-method spread of the per-particle ratios around the estimate,
     # relative to the estimate
@@ -130,8 +131,8 @@ def test_modes_agree_on_shared_randomness(ou_scenario):
     # identical conditional weights and identical post-jump positions
     rng = np.random.default_rng(11)
     xs = rng.normal(0.8, 0.3, size=40)
-    ks_ens = _hand_ensemble(xs, np.full(40, 1.0), mode="normalized", seed=123)
-    za_ens = _hand_ensemble(xs, np.full(40, 1.0), mode="unnormalized", seed=123)
+    ks_ens = _hand_ensemble(xs, np.full(40, 1.0), mode="ks", seed=123)
+    za_ens = _hand_ensemble(xs, np.full(40, 1.0), mode="zakai", seed=123)
     particle.ks_update(ks_ens, ou_scenario, dy=[0.7], y_pre=[1.0])
     particle.zakai_update(za_ens, ou_scenario, dy=[0.7], y_pre=[1.0])
     np.testing.assert_allclose(ks_ens.log_w, za_ens.log_w, atol=1e-12)
@@ -139,8 +140,8 @@ def test_modes_agree_on_shared_randomness(ou_scenario):
 
 
 def test_update_rejects_wrong_mode(ou_scenario):
-    ks_ens = _hand_ensemble([0.5, 0.9], [1.0, 1.0], mode="normalized")
-    za_ens = _hand_ensemble([0.5, 0.9], [1.0, 1.0], mode="unnormalized")
+    ks_ens = _hand_ensemble([0.5, 0.9], [1.0, 1.0], mode="ks")
+    za_ens = _hand_ensemble([0.5, 0.9], [1.0, 1.0], mode="zakai")
     with pytest.raises(IncompatibleMethod):
         particle.zakai_update(ks_ens, ou_scenario, dy=[0.5], y_pre=[1.0])
     with pytest.raises(IncompatibleMethod):
@@ -160,11 +161,11 @@ def test_atomic_noise_collapses_or_is_rejected():
     scn = _discrete_eta_scenario()
     # noise atoms are at -1 and 1; an increment no particle can explain
     # kills every weight at once
-    ens = _hand_ensemble([0.3, 0.5], [1.0, 1.0], mode="normalized")
+    ens = _hand_ensemble([0.3, 0.5], [1.0, 1.0], mode="ks")
     with pytest.raises(WeightCollapse):
         particle.ks_update(ens, scn, dy=[0.123], y_pre=[1.0])
     # the unnormalized mode needs a noise density and must refuse atoms
-    za = _hand_ensemble([0.3, 0.5], [1.0, 1.0], mode="unnormalized")
+    za = _hand_ensemble([0.3, 0.5], [1.0, 1.0], mode="zakai")
     with pytest.raises(IncompatibleMethod):
         particle.zakai_update(za, scn, dy=[0.123], y_pre=[1.0])
 
@@ -229,7 +230,9 @@ def test_zakai_mass_ratio_se_stays_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = particle.run_particle_filter(scn, events, method="zakai", n_particles=2000, reporting_times=[])
-    assert traj.events[0].log_mass_post - traj.events[0].log_mass_pre > np.log(1e150)
+    # rows: t = 0, then the pre and post rows of each event
+    assert traj.sides[1:3] == ["pre", "post"]
+    assert traj.log_mass[2] - traj.log_mass[1] > np.log(1e150)
     for rec in traj.events:
         assert np.isfinite(rec.mass_ratio_rel_se) and 0.0 < rec.mass_ratio_rel_se < 1.0
 
