@@ -281,15 +281,13 @@ def cmd_filter(args) -> int:
         events = _load_events(Path(args.events), args.path_id, scenario)
     else:
         events = simulate_path(scenario, path_id=args.path_id, seed=seed).events
-    out = _out_dir(args, "filter")
-    written = [_write_events(out / "events_used.csv", events, args.path_id, scenario.n)]
 
-    ran, skipped, comparison = [], [], {}
+    ran, skipped, files, comparison = [], [], {}, {}
     for method, runner in FILTERS.items():
         if args.method not in (method, "all"):
             continue
         try:
-            traj, files, columns = runner(scenario, events, seed, args)
+            traj, method_files, columns = runner(scenario, events, seed, args)
         except UnsupportedScenario as exc:
             if args.method != "all":
                 raise
@@ -297,7 +295,7 @@ def cmd_filter(args) -> int:
             print(f"skipping {method}: {exc}", file=sys.stderr)
             continue
         ran.append(method)
-        written += [_write_csv(out / name, header, cols) for name, (header, cols) in files.items()]
+        files.update(method_files)
         comparison.update(columns)
 
     if not ran:
@@ -309,7 +307,13 @@ def cmd_filter(args) -> int:
         times = [round(float(t), 10) for t in traj.times]
         last = [k for k in range(len(times)) if k + 1 == len(times) or times[k + 1] != times[k]]
         table = [[times[k] for k in last], *(values[last] for values in comparison.values())]
-        written.append(_write_csv(out / "comparison.csv", ["t", *comparison], table))
+        files["comparison.csv"] = (["t", *comparison], table)
+
+    # the directory is made only once every filter has run, so a refused
+    # or failed run leaves nothing behind
+    out = _out_dir(args, "filter")
+    written = [_write_events(out / "events_used.csv", events, args.path_id, scenario.n)]
+    written += [_write_csv(out / name, header, cols) for name, (header, cols) in files.items()]
     _write_manifest(out, args, canonical, seed, written)
 
     print(f"ran {', '.join(ran)} on {len(events)} events; output in {out}")
@@ -330,7 +334,6 @@ def cmd_diagnose(args) -> int:
     for name in names:
         if name not in CHECKS:
             raise CliError(2, f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    out = _out_dir(args, "diagnose")
 
     # each size flag given goes to every selected check that takes it
     sizes = {"n_paths": args.paths, "n_runs": args.runs, "n_particles": args.particles}
@@ -346,6 +349,7 @@ def cmd_diagnose(args) -> int:
         "checks": [rep.to_dict() for rep in reports],
         "all_passed": all(rep.passed for rep in reports),
     }
+    out = _out_dir(args, "diagnose")
     _write_manifest(out, args, canonical, seed, [_write_json(out / "diagnostics_report.json", payload)])
 
     print(report_table(reports))

@@ -244,17 +244,19 @@ def test_events_file_outside_the_contract_exits_2(tmp_path, run_cli, header, row
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["diagnose", "ou_kalman", "--checks", "compensator,nosuch"],
-        ["filter", "ou_kalman", "--events", "missing.csv"],
+        (["diagnose", "ou_kalman", "--checks", "compensator,nosuch"], 2),
+        (["filter", "ou_kalman", "--events", "missing.csv"], 2),
+        (["filter", "njode_style", "--method", "kalman"], 3),
+        (["diagnose", "njode_style", "--checks", "zakai"], 3),
     ],
-    ids=["unknown_check", "missing_events_file"],
+    ids=["unknown_check", "missing_events_file", "incompatible_filter", "incompatible_check"],
 )
-def test_refused_run_leaves_no_directory(tmp_path, run_cli, argv):
+def test_refused_run_leaves_no_directory(tmp_path, run_cli, argv, code):
     out = tmp_path / "out"
     proc = run_cli([*argv, "--out", str(out)], tmp_path)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.returncode == code, proc.stdout + proc.stderr
     assert not out.exists()
 
 

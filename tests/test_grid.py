@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schedfilt import grid, kalman, model, simulate, testfns
+from schedfilt import grid, kalman, model, presets, simulate, testfns
 from schedfilt.errors import BoundaryLeak, UnsupportedScenario, ZeroLikelihoodMass
 from schedfilt.quad import gaussian_quad_points
 
@@ -255,12 +255,11 @@ def _dense(band):
     """The G x G kernel J that `_apply_band` applies to masses:
     J[j, j + s - h] = band[j, s]."""
     G, width = band.shape
-    h = width // 2
+    j, s = np.indices(band.shape)
+    i = j + s - width // 2
+    on = (0 <= i) & (i < G)
     J = np.zeros((G, G))
-    for j in range(G):
-        for s in range(width):
-            if 0 <= j + s - h < G:
-                J[j, j + s - h] = band[j, s]
+    J[j[on], i[on]] = band[on]
     return J
 
 
@@ -270,6 +269,27 @@ def test_band_adjoint_equals_dense_transpose(ou_scenario):
     for band in (grid._transition_band(ou_scenario, x, 0.05), grid._gaussian_jump_band(ou_scenario, x)):
         assert band.shape[1] > 3
         np.testing.assert_allclose(grid._band_adjoint(band, v), _dense(band).T @ v, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["ou_kalman", "credit_risk", "njode_style"])
+def test_apply_band_support_rule_matches_dense_product(name):
+    # rows beyond the band's reach of every node above 2^-53 of the peak
+    # mass are written as zeros; the dense product computes them all.  Each
+    # product rounds near the peak in its own summation order, so the bound
+    # is 2^-50 of the peak a product
+    scn = presets.build_preset(name)
+    x = grid.make_grid(scn, 2000)
+    dens = grid.init_density(x, float(scn.x0[0]))
+    w = dens.trapz_weights()
+    for kind, band in (("transition", grid._transition_band(scn, x, scn.dt)), ("jump", grid._gaussian_jump_band(scn, x))):
+        J = _dense(band)
+        for steps in (1, 50):
+            masses = dens.p * w
+            for _ in range(steps):
+                masses = J @ masses
+            want = masses / w
+            got = grid._apply_band(dens, band, steps)
+            np.testing.assert_allclose(got, want, rtol=0, atol=steps * 2.0**-50 * want.max(), err_msg=f"{kind}, {steps} steps")
 
 
 def test_kernel_rows_spread_unit_mass():
@@ -302,6 +322,20 @@ def test_zero_likelihood_mass_detected(ou_scenario):
     dens = grid.grid_propagate(grid.init_density(x, 1.0), ou_scenario, 0.5)
     with pytest.raises(ZeroLikelihoodMass):
         grid.grid_event_update(dens, ou_scenario, 50.0, 1.0)
+
+
+def test_non_finite_or_empty_density_raises_typed_error(ou_scenario):
+    # a density with no mass to follow propagates over every row and is
+    # refused by the density check, never an IndexError
+    x = np.linspace(-2.0, 4.0, 801)
+    dens = grid.init_density(x, 1.0)
+    dens.p[400] = np.nan
+    with pytest.raises(ZeroLikelihoodMass):
+        grid.grid_propagate(dens, ou_scenario, 0.5)
+    with pytest.raises(ZeroLikelihoodMass):
+        grid.grid_event_update(dens, ou_scenario, 1.0, 1.0)
+    with pytest.raises(ZeroLikelihoodMass):
+        grid.grid_propagate(grid.GridDensity(x, np.zeros(x.size)), ou_scenario, 0.5)
 
 
 def test_scalar_guard(medical_scenario, ou_scenario):
