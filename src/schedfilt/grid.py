@@ -4,14 +4,16 @@ The conditional density lives on a fixed uniform grid.  Event-free
 propagation applies a one-step Gaussian transition kernel (mean shifted by
 the drift, variance b^2 dt) once per substep.  The kernel is local, so it
 is stored as a band: per target node, the weights of the source nodes
-within h of it.  An event multiplies by the measurement-noise likelihood,
-renormalizes, and then pushes the density through the law of x + c(x) xi
-with xi drawn from the mark law conditioned on the residual dy - f(x, y_pre):
-a Gaussian band for Gaussian marks, one linear splat per atom for discrete
-ones.  The bands of the transition and of the unconditional Gaussian jump
-depend only on the scenario, the grid and the step, so those of the grid
-in use are kept; a filter on other nodes drops them.  A band is built a
-block of rows at a time, so a build costs the band and little more.
+within h of it, times a per-source scale.  An event multiplies by the
+measurement-noise likelihood, renormalizes, and then pushes the density
+through the law of x + c(x) xi with xi drawn from the mark law conditioned
+on the residual dy - f(x, y_pre): a Gaussian band for Gaussian marks, one
+linear splat per atom for discrete ones.  The bands of the transition and
+of the unconditional Gaussian jump depend only on the scenario, the grid
+and the step, so those of the grid in use are kept; a filter on other
+nodes drops them.  A band is built a block of rows at a time, so a build
+costs the band and little more; a jump with constant c and uncorrelated
+marks, whose rows are one Gaussian about their own node, keeps one row.
 
 Rows of every kernel are mass-normalized, so propagation conserves mass
 up to tails below 2^-53 of the peak: a kernel row drops its tail, and a
@@ -57,6 +59,7 @@ QUAD_ORDER_EVENT = 64  # Gauss-Hermite nodes of grid_nu_integral's predictive la
 # Band entries a kernel build evaluates at once: each of its scratch arrays
 # is 128 KB, 17 rows of the (2000, 949) ou_kalman jump band.
 BAND_BLOCK_ENTRIES = 2**14
+_ROW_LOOP_WIDTH = 512  # _source_sums reads a band this wide by rows, one cache line per 8 entries
 
 
 @dataclass
@@ -217,16 +220,19 @@ def _block_rows(width: int) -> int:
     return max(1, BAND_BLOCK_ENTRIES // width)
 
 
-def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Band of the kernel whose row k spreads unit mass from source k over
-    the targets: band[j, h + s] is the weight source j + s puts on target j.
+def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(band, scale) of the kernel whose row k spreads unit mass from
+    source k over the targets: source j + s puts band[j, h + s] * scale[j + s]
+    on target j.
 
     A row is N(means[k], sigmas[k]^2) on the nodes within _TAIL_SDS sd of
     its mean, normalized; a row with no node there is zero.  Rows with
-    sigma below _SMOOTH_SIGMA_FACTOR dx are pointlike stencils.  The
-    Gaussian weights are evaluated `_block_rows` target rows at a time
-    straight into the band, so the build holds the band and one block of
-    scratch, not band-sized temporaries."""
+    sigma below _SMOOTH_SIGMA_FACTOR dx are pointlike stencils.  If every
+    row is smooth, with one sigma, about its own node and no wider than the
+    grid, the band is one row broadcast and the scale normalizes it.
+    Otherwise the band is normalized and the scale is one; its Gaussian
+    weights are evaluated `_block_rows` target rows at a time straight into
+    the band, so the build holds the band and one block of scratch."""
     G = x.size
     dx = float(x[1] - x[0])
     k = np.arange(G)
@@ -238,6 +244,10 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.nda
     hit = smooth & (first <= last)
     h = int(np.max(np.concatenate([last[hit] - k[hit], k[hit] - first[hit], np.abs(point_s).ravel()]), initial=0))
     width = 2 * h + 1
+    if smooth.all() and (sigmas == sigmas[0]).all() and (means == x).all() and width <= G:
+        z2 = ((x[h] - x[:width]) / sigmas[0]) ** 2
+        band = np.broadcast_to(np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=np.zeros(width)), (G, width))
+        return band, 1.0 / _source_sums(band, np.ones((G, 1)))[h : h + G, 0]
     mu = sliding_window_view(np.pad(np.where(hit, means, np.inf), h, constant_values=np.inf), width)
     sd = sliding_window_view(np.pad(np.where(hit, sigmas, 1.0), h, constant_values=1.0), width)
     band = np.zeros((G, width))
@@ -246,40 +256,49 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.nda
         block = slice(lo, lo + rows)
         z2 = ((x[block, None] - mu[block]) / sd[block]) ** 2
         np.exp(-0.5 * z2, where=z2 <= _TAIL_SDS**2, out=band[block])
-    sums = _source_sums(band, 1.0)
+    sums = _source_sums(band, np.ones((G, 1)))[:, 0]
     sums[sums == 0.0] = 1.0
     band /= sliding_window_view(sums, width)
     np.add.at(band, (point_t, point_s + h), point_w)
-    return band
+    return band, np.ones(G)
 
 
-def _source_sums(band: np.ndarray, v) -> np.ndarray:
-    """Per padded source index i, the sum of band[j, s] v[j] over j + s = i:
-    one band column at a time, added into the padded output at its shift.
-    The last column goes first, so each sum runs over j in ascending order."""
+def _source_sums(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per padded source index i and column of v (G, k), the sum of
+    band[j, s] v[j] over j + s = i, each over j in ascending order: a wide
+    band is added a row at a time, a narrow or broadcast one a column at a
+    time into the output at its shift, the last column first."""
     G, width = band.shape
-    out, term = np.zeros(G + width - 1), np.empty(G)
+    out = np.zeros((G + width - 1, v.shape[1]))
+    if band.strides[0] and width >= _ROW_LOOP_WIDTH:
+        out_t, term = out.T, np.empty((v.shape[1], width))
+        for j in range(G):
+            out_t[:, j : j + width] += np.multiply(v[j, :, None], band[j], out=term)
+        return out
+    term = np.empty(v.shape)
     for s in reversed(range(width)):
-        out[s : s + G] += np.multiply(band[:, s], v, out=term)
+        out[s : s + G] += np.multiply(band[:, s, None], v, out=term)
     return out
 
 
-def _apply_band(density: GridDensity, band: np.ndarray, steps: int = 1) -> np.ndarray:
-    """The density after `steps` applications of the band to its masses,
-    stepped in one zero-padded buffer and one window view.
+def _apply_band(density: GridDensity, kernel: tuple[np.ndarray, np.ndarray], steps: int = 1) -> np.ndarray:
+    """The density after `steps` applications of the kernel to its masses,
+    stepped in one zero-padded buffer and one window view; the kernel's
+    scale is folded into the trapezoid weights once.
 
     A step computes only the target rows within the band half-width h of
     the first and last node whose mass exceeds 2^-53 of the step's largest,
     the mass the kernel tails already drop, and writes exact zeros
     elsewhere.  When no mass passes (all zero or non-finite), every row is
     computed, so `_check_density` sees what the masses held."""
-    G, h = density.n_nodes, band.shape[1] // 2
-    w = density.trapz_weights()
+    band, scale = kernel
+    G, h, w = density.n_nodes, band.shape[1] // 2, density.trapz_weights()
+    ws = w * scale
     padded = np.zeros(G + 2 * h)
     masses, windows = padded[h : h + G], sliding_window_view(padded, band.shape[1])
     p, out = density.p.copy(), np.empty(G)
     for _ in range(steps):
-        np.multiply(p, w, out=masses)
+        np.multiply(p, ws, out=masses)
         live = np.flatnonzero(masses > masses.max() * 2.0**-53)
         lo, hi = (max(live[0] - h, 0), min(live[-1] + h + 1, G)) if live.size else (0, G)
         out[:lo] = out[hi:] = 0.0
@@ -288,12 +307,12 @@ def _apply_band(density: GridDensity, band: np.ndarray, steps: int = 1) -> np.nd
     return p
 
 
-_BANDS: dict[tuple, np.ndarray] = {}
+_BANDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _BANDS_MAX = 4
 
 
-def _memo_band(spec: dict, x: np.ndarray, width: float, build) -> np.ndarray:
-    """The band of a time-homogeneous kernel, built by build() on a miss.
+def _memo_band(spec: dict, x: np.ndarray, width: float, build) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of a time-homogeneous step, built by build() on a miss.
 
     Only bands on the nodes x are kept, the last _BANDS_MAX used: a request
     on other nodes drops every band kept before it builds."""
@@ -301,14 +320,14 @@ def _memo_band(spec: dict, x: np.ndarray, width: float, build) -> np.ndarray:
     key = (json.dumps(spec, sort_keys=True, default=str), *nodes, float(width))
     if _BANDS and next(iter(_BANDS))[1:4] != nodes:
         _BANDS.clear()
-    band = _BANDS.pop(key, None)
-    _BANDS[key] = build() if band is None else band
+    kernel = _BANDS.pop(key, None)
+    _BANDS[key] = build() if kernel is None else kernel
     if len(_BANDS) > _BANDS_MAX:
         del _BANDS[next(iter(_BANDS))]
     return _BANDS[key]
 
 
-def _transition_band(scenario: ValidatedScenario, x: np.ndarray, dt: float) -> np.ndarray:
+def _transition_band(scenario: ValidatedScenario, x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     xcol = x[:, None]
     means = x + scenario.drift(xcol)[:, 0] * dt
     sigmas = np.abs(scenario.diffusion(xcol)[:, 0, 0]) * np.sqrt(dt)
@@ -345,8 +364,8 @@ def grid_propagate(density: GridDensity, scenario: ValidatedScenario, delta_t: f
     steps = int((delta_t + 1e-9) // dt)
     rest = delta_t - steps * dt
     spec = {"drift": model.drift, "diffusion": model.diffusion}
-    band = _memo_band(spec, x, dt, lambda: _transition_band(scenario, x, dt))
-    out = GridDensity(x, _apply_band(density, band, steps))
+    kernel = _memo_band(spec, x, dt, lambda: _transition_band(scenario, x, dt))
+    out = GridDensity(x, _apply_band(density, kernel, steps))
     if rest > 1e-9:
         # the rest's width varies by float noise, so it is not memoized
         out.p = _apply_band(out, _transition_band(scenario, x, rest))
@@ -363,7 +382,7 @@ def _likelihood(density: GridDensity, scenario: ValidatedScenario, dy: float, y_
     return np.exp(scenario.jump_law.eta_log_density(eta_hat)), eta_hat[:, 0]
 
 
-def _gaussian_jump_band(scenario: ValidatedScenario, x: np.ndarray, eta_hat: np.ndarray | None = None) -> np.ndarray:
+def _gaussian_jump_band(scenario: ValidatedScenario, x: np.ndarray, eta_hat: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Band of x -> x + c(x) xi with xi | eta_hat = N(gain eta_hat, sd^2) at
     each node.  With gain 0 it does not depend on eta_hat, so one band per
     scenario and grid serves every event."""
@@ -376,10 +395,11 @@ def _gaussian_jump_band(scenario: ValidatedScenario, x: np.ndarray, eta_hat: np.
     return _kernel_rows(x, x + cvals * (gain * eta_hat), np.abs(cvals) * sd)
 
 
-def _band_adjoint(band: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J^T v for the kernel J that `_apply_band` applies to masses."""
+def _band_adjoint(kernel: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """J^T v, v (G, k), for the kernel J that `_apply_band` applies to masses."""
+    band, scale = kernel
     G, h = band.shape[0], band.shape[1] // 2
-    return _source_sums(band, v)[h : h + G]
+    return _source_sums(band, v)[h : h + G] * scale[:, None]
 
 
 def _apply_jump_convolution(density: GridDensity, scenario: ValidatedScenario, eta_hat: np.ndarray) -> np.ndarray:
@@ -469,11 +489,11 @@ def grid_nu_integral(
                 continue  # likelihood underflow: the node's weight is negligible anyway
     else:
         phi_vals = np.asarray(phi(x[:, None]), dtype=float).reshape(x.size)
-        adj = np.stack([phi_vals, np.ones(x.size)])
+        adj = np.stack([phi_vals, np.ones(x.size)], axis=1)
         if not law.xi_is_zero:
-            band = _gaussian_jump_band(scenario, x)
-            adj = np.stack([_band_adjoint(band, v) for v in adj])
-        num, den = adj @ (q[live] * density_pre.trapz_weights()).T
+            adj = _band_adjoint(_gaussian_jump_band(scenario, x), adj)
+        # a contiguous (2, G) left factor keeps the product's summation order and bits
+        num, den = np.ascontiguousarray(adj.T) @ (q[live] * density_pre.trapz_weights()).T
         post[live] = np.divide(num, den, out=np.full(num.size, np.nan), where=np.isfinite(den) & (den > 0.0))
     ok = live & np.isfinite(post)
     s_phi = post[ok] - density_pre.expectation(phi)

@@ -162,9 +162,10 @@ def test_filter_refinement_self_consistency(ou_scenario):
 
 
 def test_cold_filter_memory_peak(ou_scenario):
-    # guards against dense operators: one G x G matrix at the default 2,000
-    # nodes is 32 MB, and a filter on dense binary powers peaks near 320 MB;
-    # the domain is one no other test uses, so every operator is built cold
+    # guards against dense operators and bands where one row serves: one
+    # G x G matrix at the default 2,000 nodes is 32 MB, the (2000, 949) jump
+    # band 15 MB, and the (2000, 77) transition band 1.2 MB; the domain is
+    # one no other test uses, so every operator is built cold
     events = simulate.simulate_path(ou_scenario, path_id=0).events
     lo, hi = grid.estimate_domain(ou_scenario)
     tracemalloc.start()
@@ -174,13 +175,13 @@ def test_cold_filter_memory_peak(ou_scenario):
     finally:
         tracemalloc.stop()
     assert ou_scenario.filters.grid_nodes == 2000
-    assert peak < 128e6
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_nu_integral_memory_peak(ou_scenario):
-    # the band adjoint adds one band column at a time: a (2000, 949) jump
-    # band of 15.2 MB needs no band-sized temporary.  The first call builds
-    # and keeps the band, so only the second is traced.
+    # the band adjoint adds one band column at a time into a (G + W - 1, 2)
+    # output, with no band-sized temporary.  The first call builds and
+    # keeps the kernel, so only the second is traced.
     x = grid.make_grid(ou_scenario)
     dens = grid.grid_propagate(grid.init_density(x, 1.0), ou_scenario, 0.5)
     phi = testfns.battery_function("tanh", 1)
@@ -213,19 +214,33 @@ def test_cold_medical_filter_memory_peak(medical_scenario):
     assert peak < 100e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_kernel_build_memory_peak(ou_scenario):
-    # rows are evaluated a block at a time into the band: the (2000, 949)
-    # jump band's build holds little beside the band itself
+def test_kernel_build_memory_peak(medical_scenario):
+    # rows are evaluated a block at a time into the band: the build of the
+    # (2000, 3999) c(x) = x jump band holds little beside the band itself
+    x = grid.make_grid(medical_scenario)
+    sigmas = np.abs(x) * np.sqrt(medical_scenario.jump_law.cond_cov[0, 0])
+    tracemalloc.start()
+    try:
+        band, _ = grid._kernel_rows(x, x, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.shape == (2000, 3999)
+    assert peak < 1.5 * band.nbytes, f"traced peak {peak / band.nbytes:.2f} bands"
+
+
+def test_one_row_kernel_build_memory_peak(ou_scenario):
+    # a constant-c jump keeps one row of the (2000, 949) band, not 15 MB
     x = grid.make_grid(ou_scenario)
     sigmas = np.full(x.size, np.sqrt(ou_scenario.jump_law.cond_cov[0, 0]))
     tracemalloc.start()
     try:
-        band = grid._kernel_rows(x, x, sigmas)
+        band, _ = grid._kernel_rows(x, x, sigmas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert band.shape == (2000, 949)
-    assert peak < 1.5 * band.nbytes, f"traced peak {peak / band.nbytes:.2f} bands"
+    assert band.shape == (2000, 949) and band.strides[0] == 0
+    assert peak < 1e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("rows", [1, 7, 2000])
@@ -238,8 +253,9 @@ def test_band_build_does_not_depend_on_block_size(rows, euler_scenarios, monkeyp
         with monkeypatch.context() as patch:
             patch.setattr(grid, "_block_rows", lambda width: rows)
             blocked = [grid._transition_band(scn, x, scn.dt), grid._gaussian_jump_band(scn, x)]
-        for kind, a, b in zip(("transition", "jump"), blocked, whole):
+        for kind, (a, a_scale), (b, b_scale) in zip(("transition", "jump"), blocked, whole):
             np.testing.assert_array_equal(a, b, err_msg=f"{name} {kind}")
+            np.testing.assert_array_equal(a_scale, b_scale, err_msg=f"{name} {kind} scale")
 
 
 def test_bands_kept_are_those_of_the_grid_in_use(ou_scenario):
@@ -251,24 +267,38 @@ def test_bands_kept_are_those_of_the_grid_in_use(ou_scenario):
         assert key[1:4] == (float(traj.x[0]), float(traj.x[-1]), traj.x.size)
 
 
-def _dense(band):
+def _dense(kernel):
     """The G x G kernel J that `_apply_band` applies to masses:
-    J[j, j + s - h] = band[j, s]."""
+    J[j, j + s - h] = band[j, s] * scale[j + s - h]."""
+    band, scale = kernel
     G, width = band.shape
     j, s = np.indices(band.shape)
     i = j + s - width // 2
     on = (0 <= i) & (i < G)
     J = np.zeros((G, G))
-    J[j[on], i[on]] = band[on]
+    J[j[on], i[on]] = band[on] * scale[i[on]]
     return J
+
+
+@pytest.mark.parametrize("width", [77, 601])
+def test_source_sums_keep_their_bits_by_rows_columns_and_pairs(width, monkeypatch):
+    # each sum runs over j ascending whichever loop reads the band, and one
+    # (G, 2) pass gives the bits of two (G, 1) passes
+    rng = np.random.default_rng(3)
+    band, v = rng.random((300, width)), rng.standard_normal((300, 2))
+    got = grid._source_sums(band, v)
+    for k in range(2):
+        np.testing.assert_array_equal(got[:, k], grid._source_sums(band, v[:, k : k + 1])[:, 0])
+    monkeypatch.setattr(grid, "_ROW_LOOP_WIDTH", 1 if width < grid._ROW_LOOP_WIDTH else 10**9)
+    np.testing.assert_array_equal(grid._source_sums(band, v), got)
 
 
 def test_band_adjoint_equals_dense_transpose(ou_scenario):
     x = np.linspace(-2.0, 4.0, 120)
     v = np.cos(3.0 * x)
-    for band in (grid._transition_band(ou_scenario, x, 0.05), grid._gaussian_jump_band(ou_scenario, x)):
-        assert band.shape[1] > 3
-        np.testing.assert_allclose(grid._band_adjoint(band, v), _dense(band).T @ v, rtol=0, atol=1e-15)
+    for kernel in (grid._transition_band(ou_scenario, x, 0.05), grid._gaussian_jump_band(ou_scenario, x)):
+        assert kernel[0].shape[1] > 3
+        np.testing.assert_allclose(grid._band_adjoint(kernel, v[:, None])[:, 0], _dense(kernel).T @ v, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", ["ou_kalman", "credit_risk", "njode_style"])
@@ -281,14 +311,14 @@ def test_apply_band_support_rule_matches_dense_product(name):
     x = grid.make_grid(scn, 2000)
     dens = grid.init_density(x, float(scn.x0[0]))
     w = dens.trapz_weights()
-    for kind, band in (("transition", grid._transition_band(scn, x, scn.dt)), ("jump", grid._gaussian_jump_band(scn, x))):
-        J = _dense(band)
+    for kind, kernel in (("transition", grid._transition_band(scn, x, scn.dt)), ("jump", grid._gaussian_jump_band(scn, x))):
+        J = _dense(kernel)
         for steps in (1, 50):
             masses = dens.p * w
             for _ in range(steps):
                 masses = J @ masses
             want = masses / w
-            got = grid._apply_band(dens, band, steps)
+            got = grid._apply_band(dens, kernel, steps)
             np.testing.assert_allclose(got, want, rtol=0, atol=steps * 2.0**-50 * want.max(), err_msg=f"{kind}, {steps} steps")
 
 
@@ -301,13 +331,58 @@ def test_kernel_rows_spread_unit_mass():
     means = x + 0.3 * np.sin(k)
     means[::11] = 2.5
     sigmas = dx * (0.05 + 3.0 * (k % 7) / 6.0)
-    band = grid._kernel_rows(x, means, sigmas)
-    mass = _dense(band).sum(axis=0)  # what each source puts on all targets
+    kernel = grid._kernel_rows(x, means, sigmas)
+    mass = _dense(kernel).sum(axis=0)  # what each source puts on all targets
     supported = np.abs(mass) > 0.0
     assert 0 < supported.sum() < x.size
     np.testing.assert_allclose(mass[supported], 1.0, rtol=0, atol=1e-15)
     off_grid = (sigmas > grid._SMOOTH_SIGMA_FACTOR * dx) & (means - grid._TAIL_SDS * sigmas > x[-1])
     assert off_grid.any() and not supported[off_grid].any()
+
+
+@pytest.mark.parametrize("name", ["ou_kalman", "credit_risk"])
+def test_one_row_jump_kernel_matches_blockwise_build(name):
+    # a constant-c jump's rows are one Gaussian about their own node, kept
+    # as one broadcast row and a scale; one sigma one ulp wider takes the
+    # blockwise build of the same kernel.  The band product follows the
+    # dense product of row and scale within 2^-50 of the peak a step.  The
+    # blockwise build evaluates each row at its own node differences, which
+    # round otherwise (entries differ by up to 4.7e-15 of the peak here), so
+    # against it 4 more 2^-50 of the peak are allowed
+    scn = presets.build_preset(name)
+    x = grid.make_grid(scn, 2000)
+    sigmas = np.full(x.size, np.sqrt(scn.jump_law.cond_cov[0, 0]))
+    one_row = grid._kernel_rows(x, x, sigmas)
+    sigmas[-1] = np.nextafter(sigmas[-1], np.inf)
+    blockwise = grid._kernel_rows(x, x, sigmas)
+    assert one_row[0].strides[0] == 0 and blockwise[0].strides[0] != 0
+    assert one_row[0].shape == blockwise[0].shape
+    J_row, J_block = _dense(one_row), _dense(blockwise)
+    dens = grid.init_density(x, float(scn.x0[0]))
+    w = dens.trapz_weights()
+    for steps in (1, 50):
+        m_row, m_block = dens.p * w, dens.p * w
+        for _ in range(steps):
+            m_row, m_block = J_row @ m_row, J_block @ m_block
+        want = m_block / w
+        tol = 2.0**-50 * want.max()
+        np.testing.assert_allclose(grid._apply_band(dens, one_row, steps), m_row / w, rtol=0, atol=steps * tol, err_msg=f"{steps} steps")
+        np.testing.assert_allclose(m_row / w, want, rtol=0, atol=(steps + 4) * tol, err_msg=f"{steps} steps")
+
+
+def test_one_row_kernel_falls_back_to_blockwise_build():
+    # at 40 nodes a 0.2 sd row is wider than the grid, and a 0.3 dx sd row
+    # is pointlike: both keep the normalized band and a unit scale
+    x = np.linspace(0.0, 1.0, 40)
+    dx = x[1] - x[0]
+    for sd, one_row in ((0.02, True), (0.2, False), (0.3 * dx, False)):
+        band, scale = grid._kernel_rows(x, x, np.full(x.size, sd))
+        assert (band.strides[0] == 0) == one_row, sd
+        assert (band.shape[1] > x.size) == (sd == 0.2)
+        if not one_row:
+            np.testing.assert_array_equal(scale, 1.0)
+        mass = _dense((band, scale)).sum(axis=0)
+        np.testing.assert_allclose(mass, 1.0, rtol=0, atol=1e-15)
 
 
 def test_boundary_leak_detected(ou_scenario):
