@@ -57,9 +57,8 @@ _PILOT_MAX_STEPS = 400
 _HALFWIDTH_SDS = 8.0  # the pilot envelope is mean +/- this many sd
 QUAD_ORDER_EVENT = 64  # Gauss-Hermite nodes of grid_nu_integral's predictive law of dy
 # Band entries a kernel build evaluates at once: each of its scratch arrays
-# is 128 KB, 17 rows of the (2000, 949) ou_kalman jump band.
+# is 128 KB, 4 rows of the (2000, 3999) medical c(x) = x jump band.
 BAND_BLOCK_ENTRIES = 2**14
-_ROW_LOOP_WIDTH = 512  # _source_sums reads a band this wide by rows, one cache line per 8 entries
 
 
 @dataclass
@@ -265,17 +264,11 @@ def _kernel_rows(x: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> tuple[
 
 def _source_sums(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per padded source index i and column of v (G, k), the sum of
-    band[j, s] v[j] over j + s = i, each over j in ascending order: a wide
-    band is added a row at a time, a narrow or broadcast one a column at a
-    time into the output at its shift, the last column first."""
+    band[j, s] v[j] over j + s = i: one band column at a time, added into
+    the padded output at its shift.  The last column goes first, so each
+    sum runs over j in ascending order."""
     G, width = band.shape
-    out = np.zeros((G + width - 1, v.shape[1]))
-    if band.strides[0] and width >= _ROW_LOOP_WIDTH:
-        out_t, term = out.T, np.empty((v.shape[1], width))
-        for j in range(G):
-            out_t[:, j : j + width] += np.multiply(v[j, :, None], band[j], out=term)
-        return out
-    term = np.empty(v.shape)
+    out, term = np.zeros((G + width - 1, v.shape[1])), np.empty(v.shape)
     for s in reversed(range(width)):
         out[s : s + G] += np.multiply(band[:, s, None], v, out=term)
     return out
