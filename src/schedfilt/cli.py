@@ -367,6 +367,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    """A seed or path id; refused at parse time, before any directory exists."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedfilt",
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("scenario", help="preset name or path to a scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_nonnegative, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help=f"output directory (default: ${OUT_ROOT_ENV}/<subcommand>)")
 
     p_sim = sub.add_parser("simulate", help="draw paths and dump them as CSV")
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fil)
     p_fil.add_argument("--method", choices=[*FILTERS, "all"], default="all")
     p_fil.add_argument("--events", default=None, help="events CSV to filter on (default: simulate one path)")
-    p_fil.add_argument("--path-id", type=int, default=0, help="path id to simulate or select from --events")
+    p_fil.add_argument("--path-id", type=_nonnegative, default=0, help="path id to simulate or select from --events")
     p_fil.add_argument("--particles", type=int, default=None, help="particle count override")
     p_fil.add_argument("--nodes", type=int, default=None, help="grid node count override")
     p_fil.add_argument("--dump-density", action="store_true", help="also dump grid densities")

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from schedfilt import cli, model
-from schedfilt.presets import build_preset
+from schedfilt.presets import CONFIG_DIR, PRESETS, build_preset
 from schedfilt.simulate import simulate_path
 
 CLI = [sys.executable, "-m", "schedfilt.cli"]
+CONFIGS = Path(CONFIG_DIR)
 
 
 @pytest.fixture()
@@ -116,16 +117,16 @@ def test_simulate_csv_reads_back_as_simulate_path(
 
 
 def test_manifest_hash_same_for_preset_and_file(tmp_path, run_cli):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json"
-    pa = run_cli(["simulate", "ou_kalman", "--paths", "1", "--out", str(out_a)], tmp_path)
-    pb = run_cli(["simulate", str(cfg), "--paths", "1", "--out", str(out_b)], tmp_path)
-    assert pa.returncode == 0, pa.stderr
-    assert pb.returncode == 0, pb.stderr
-    assert read_manifest(out_a)["scenario_sha256"] == read_manifest(out_b)["scenario_sha256"]
-    # same scenario content means bit-identical data files
-    assert filecmp.cmp(out_a / "path_0000.csv", out_b / "path_0000.csv", shallow=False)
+    for name in sorted(PRESETS):
+        out_a = tmp_path / name / "a"
+        out_b = tmp_path / name / "b"
+        pa = run_cli(["simulate", name, "--paths", "1", "--out", str(out_a)], tmp_path)
+        pb = run_cli(["simulate", str(CONFIGS / f"{name}.json"), "--paths", "1", "--out", str(out_b)], tmp_path)
+        assert pa.returncode == 0, pa.stderr
+        assert pb.returncode == 0, pb.stderr
+        assert read_manifest(out_a)["scenario_sha256"] == read_manifest(out_b)["scenario_sha256"], name
+        # same scenario content means bit-identical data files
+        assert filecmp.cmp(out_a / "path_0000.csv", out_b / "path_0000.csv", shallow=False), name
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, run_cli):
@@ -311,7 +312,7 @@ def test_single_particle_exits_2(tmp_path, run_cli):
 
 def _off_lattice_config(tmp: Path) -> Path:
     """ou_kalman with an event time the grid's dt lattice cannot hit."""
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg = json.loads((CONFIGS / "ou_kalman.json").read_text())
     cfg["schedule"]["times"] = [0.3333, 1.0]
     path = tmp / "off_lattice.json"
     path.write_text(json.dumps(cfg))
@@ -344,13 +345,23 @@ def test_counts_below_one_exit_2(tmp_path, run_cli, args):
     assert not (tmp_path / "x").exists()
 
 
-def test_negative_path_id_exit_2(tmp_path, run_cli):
-    proc = run_cli(["filter", "ou_kalman", "--path-id", "-1", "--out", str(tmp_path / "x")], tmp_path)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "ou_kalman", "--seed", "-1"],
+        ["filter", "ou_kalman", "--seed", "-1"],
+        ["diagnose", "ou_kalman", "--seed", "-1"],
+        ["filter", "ou_kalman", "--path-id", "-1"],
+    ],
+    ids=["simulate-seed", "filter-seed", "diagnose-seed", "filter-path-id"],
+)
+def test_negative_seed_or_path_id_exit_2(tmp_path, run_cli, args):
+    proc = run_cli(args + ["--out", str(tmp_path / "x")], tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "nonnegative" in proc.stderr
-    # the manifest is written last, so a failed run leaves none
-    assert not (tmp_path / "x" / "manifest.json").exists()
+    # refused at parse time, before the output directory is made
+    assert not (tmp_path / "x").exists()
 
 
 def test_absent_events_path_id_exit_2(tmp_path, run_cli):
@@ -440,7 +451,7 @@ def test_unknown_scenario_exits_2(tmp_path, run_cli):
 
 
 def test_malformed_descriptor_file_exits_2(tmp_path, run_cli):
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg = json.loads((CONFIGS / "ou_kalman.json").read_text())
     cfg["model"]["drift"] = {"kind": "sum", "children": 5}
     path = tmp_path / "bad_drift.json"
     path.write_text(json.dumps(cfg))
@@ -455,7 +466,7 @@ def test_malformed_descriptor_file_exits_2(tmp_path, run_cli):
     (lambda cfg: cfg["schedule"].update(times=[0.5, 1.0, 1.5, 5.0]), "5.0 lies past the horizon 2.0"),
 ], ids=["retired_setting", "time_past_horizon"])
 def test_scenario_outside_the_contract_exits_2(tmp_path, run_cli, edit, names):
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg = json.loads((CONFIGS / "ou_kalman.json").read_text())
     edit(cfg)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
@@ -513,7 +524,7 @@ def test_help_and_version(tmp_path, run_cli):
 
 
 def test_simulate_blowup_exits_1_in_one_line(tmp_path, run_cli):
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ou_kalman.json").read_text())
+    cfg = json.loads((CONFIGS / "ou_kalman.json").read_text())
     cfg["model"]["drift"] = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
     cfg["model"]["x0"] = [10.0]
     path = tmp_path / "blowup.json"

@@ -19,7 +19,7 @@ from schedfilt.errors import (
     ValidationError,
     ZeroConditionalMass,
 )
-from schedfilt.presets import PRESETS, build_preset
+from schedfilt.presets import CONFIG_DIR, PRESETS, build_preset
 
 
 def _base_config(**over):
@@ -248,12 +248,11 @@ def test_round_trip_all_presets_bit_exact():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_shipped_config_equals_preset(name):
-    # presets.py declares configs/<preset>.json equal to its builder
-    text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text(encoding="utf-8")
-    cfg = model.scenario_from_json(text)
-    assert cfg == PRESETS[name]()
-    assert model.scenario_to_dict(cfg) == json.loads(text)
-    assert text == model.scenario_to_json(cfg) + "\n"
+    # the shipped file is the preset's one definition; it must be canonical,
+    # the text scenario_to_json writes, so that the preset name and the file
+    # path hash alike in the manifest
+    text = (Path(CONFIG_DIR) / f"{name}.json").read_text(encoding="utf-8")
+    assert model.scenario_to_json(model.scenario_from_json(text)) + "\n" == text
 
 
 def test_json_full_precision():
