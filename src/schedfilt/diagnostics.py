@@ -295,16 +295,18 @@ def check_zakai(
     drift_vals = (np.sum(wts * np.exp(gammas + log_fi - log_ref), axis=-1) - 1.0).ravel().tolist()
 
     # mass jump: the particle mass ratio across each event against the
-    # closed-form density ratio at the observed increment
+    # closed-form density ratio at the observed increment; the runs are
+    # independent, so they run on forked workers
     log_expected = -gamma_gaussian(beliefs.pred_mean, pv, r, dys)  # (n_runs, K)
-    jump_rows = []
-    for run, sim in enumerate(sims):
+
+    def mass_jump_rows(run):
         traj = run_particle_filter(
-            scenario, sim.events, method="zakai", n_particles=n_particles,
+            scenario, sims[run].events, method="zakai", n_particles=n_particles,
             seed=seed, reporting_times=[], run_label=run,
         )
         sides = np.asarray(traj.sides)
         log_ratios = traj.log_mass[sides == "post"] - traj.log_mass[sides == "pre"]
+        rows = []
         for i, (rec, log_ratio) in enumerate(zip(traj.events, log_ratios.tolist())):
             expected, rel_se = float(log_expected[run, i]), rec.mass_ratio_rel_se
             # |R - E| / SE with SE = R rel_se, in logs; a zero or non-finite
@@ -313,7 +315,7 @@ def check_zakai(
             testable = 0.0 < rel_se < np.inf and np.isfinite(log_ratio)
             with np.errstate(over="ignore"):
                 tstat = float(abs(np.expm1(expected - log_ratio)) / rel_se) if testable else np.inf
-            jump_rows.append(
+            rows.append(
                 {
                     "run": run,
                     "event": i + 1,
@@ -323,6 +325,10 @@ def check_zakai(
                     "tstat": tstat,
                 }
             )
+        return rows
+
+    runs = simulate._fork_map(mass_jump_rows, range(n_runs), simulate._workers(n_runs))
+    jump_rows = [row for rows in runs for row in rows]
     drift_worst = max(abs(v) for v in drift_vals) if drift_vals else 0.0
     tmax = max((row["tstat"] for row in jump_rows), default=0.0)
     ref = _reference_martingale_stats(scenario, params, seed)

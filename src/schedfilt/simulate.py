@@ -11,17 +11,23 @@ increments and marks come from separate per-path streams, so refining dt
 leaves the realized marks unchanged.  One engine, `_euler`, steps a block
 of paths and holds the threshold trigger; `simulate_batch` runs it on
 blocks of whole paths (`simulate_path` is the one-path case) and
-`run_ensemble` on chunks of many, keeping only checkpoints.  A block's
-normals are drawn a tile of steps at a time into one reused buffer of at
-most `TILE_NORMALS` values, so a chunk never holds its whole horizon of
-normals; each path's stream is still read in step order, so the tiling
-does not change a draw.  As in `particle.propagate`, the state is checked
-to be finite at each event and at the end, not after every step, and each
-event's observation increment when it fires.
+`run_ensemble` on chunks of many, keeping only checkpoints.  The chunks
+run on forked workers, one per CPU the process may use (`_fork_map`); each
+path draws from its own streams, so the result does not depend on the
+number of workers or chunks.  A block's normals are drawn a tile of steps
+at a time into one reused buffer of at most `TILE_NORMALS` values, so a
+chunk never holds its whole horizon of normals; each path's stream is
+still read in step order, so the tiling does not change a draw.  As in
+`particle.propagate`, the state is checked to be finite at each event and
+at the end, not after every step, and each event's observation increment
+when it fires.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator
@@ -47,8 +53,11 @@ _MERGE_TOL = 1e-9
 # Paths a simulate_batch block steps together: about 1 MB per (2001, P, m)
 # array for a scalar model of 2,000 steps.
 BLOCK_PATHS = 64
-# Paths a run_ensemble chunk steps together.
+# Paths a run_ensemble chunk steps together, at most.
 CHUNK_PATHS = 4000
+# Paths a forked worker's share of run_ensemble holds, at least: a fork costs
+# 5-8 ms, about what 256 paths of a scalar chunk take.
+FORK_PATHS = 512
 # Normals a block holds at once: its (P, T, m) tile buffer is about 8 MB.
 # That is the whole horizon of a simulate_batch block, and 262 steps of a
 # 4,000-path scalar run_ensemble chunk.
@@ -305,9 +314,13 @@ def run_ensemble(
     deterministic schedules are supported here; integrands g are (N, m) ->
     (N,) maps accumulated as trapezoid integrals of g(X_s) ds with the
     pre-jump value closing the segment that ends at an event.  The paths
-    run in chunks of `CHUNK_PATHS`; a chunk holds its paths' generators,
-    marks and current states plus one tile of normals (`TILE_NORMALS`),
-    not its whole horizon of normals.
+    run in W * ceil(n_paths / (W * CHUNK_PATHS)) equal contiguous chunks,
+    W the CPUs the process may use, but no more than leaves each worker
+    `FORK_PATHS` paths: the caller steps the first W-th of the chunks and
+    a forked worker each other W-th (`_fork_map`).  Each path draws from
+    its own streams, so the result does not depend on W.  A chunk holds
+    its paths' generators, marks and current states plus one tile of
+    normals (`TILE_NORMALS`), not its whole horizon of normals.
     """
     if scenario.schedule.kind != "deterministic":
         raise UnsupportedScenario("run_ensemble supports deterministic schedules only")
@@ -329,17 +342,104 @@ def run_ensemble(
         event_times=np.asarray(event_times, dtype=float),
         **{name: np.empty((n_paths, K, d)) for name, d in dims.items()},
     )
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, n_paths)
-        draws = _draws(scenario, seed, range(lo, hi), K)
+
+    def chunk(span):
+        draws = _draws(scenario, seed, range(*span), K)
         x, _, integrals, fired = _euler(scenario, t, draws, event_rows, ckpt_rows, integrands)
-        del draws  # free the chunk's generators before the next chunk seeds its own
-        out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x.swapaxes(0, 1), integrals.swapaxes(0, 1)
-        for i, event in enumerate(fired):
-            for name, value in zip(dims, event[3:]):
+        return x.swapaxes(0, 1), integrals.swapaxes(0, 1), [event[3:] for event in fired]
+
+    workers = _workers(n_paths // FORK_PATHS)
+    n_chunks = workers * -(-n_paths // (workers * CHUNK_PATHS))
+    spans = [(n_paths * c // n_chunks, n_paths * (c + 1) // n_chunks) for c in range(n_chunks)]
+    for (lo, hi), (x, integrals, fired) in zip(spans, _fork_map(chunk, spans, workers)):
+        out.x_checkpoints[lo:hi], out.integrals[lo:hi] = x, integrals
+        for i, arrays in enumerate(fired):
+            for name, value in zip(dims, arrays):
                 getattr(out, name)[lo:hi, i] = value
     return out
 
 
 def _eval_integrands(integrands, x: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(g(x), dtype=float) for g in integrands], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+
+def _workers(shares: int) -> int:
+    """The CPUs this process may run on, at most `shares` and at least one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return max(1, min(shares, len(affinity(0)) if affinity else os.cpu_count() or 1))
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """`[fn(item) for item in items]` over `workers` contiguous groups of the
+    items: the caller maps the first group and a forked child each other one.
+
+    A child pickles its results, or its exception, into a pipe and leaves
+    through `os._exit`.  The caller reads the pipes in group order and
+    raises the first error, its own first, so the outcome is the serial one
+    when the items are independent; on an error the children still running
+    are killed.  Every child is reaped before the call returns or raises.
+    Runs serially for one group, without `os.fork`, or with other threads
+    alive, which a forked child would not have.
+    """
+    items = list(items)
+    bounds = [len(items) * g // workers for g in range(workers + 1)]
+    groups = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(groups) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    pids, pipes = [], []
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as reply:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, group, reply, pipes)
+            pids.append(pid)
+        results = [fn(item) for item in groups[0]]
+        for pipe in pipes:
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                ok, value = False, ChildProcessError("a forked worker ended without a reply")
+            if not ok:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(fn, group, reply, pipes) -> None:
+    """A forked child of `_fork_map`: write `(True, results)` or
+    `(False, error)` to `reply` and exit, running none of the caller's
+    cleanup.  An error that does not survive pickling is sent as a
+    RuntimeError naming it."""
+    try:
+        for pipe in pipes:  # the siblings' read ends, and its own
+            pipe.close()
+        try:
+            data = pickle.dumps((True, [fn(item) for item in group]))
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        reply.write(data)
+        reply.flush()
+    finally:
+        os._exit(0)

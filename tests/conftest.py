@@ -77,6 +77,23 @@ def euler_scenarios():
 
 
 @pytest.fixture()
+def cpus(monkeypatch):
+    """`cpus(n)` lets the process see n CPUs and returns the list that the
+    pid of each fork made from then on is appended to.  The package reads
+    its worker count from `os.sched_getaffinity` and has no other knob."""
+
+    fork = os.fork
+
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        return forks
+
+    return see
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(0)
 

@@ -8,6 +8,7 @@ their default sizes.
 
 import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
@@ -94,6 +95,25 @@ def test_zakai_passes_and_rejects(ou_scenario):
         ou_scenario, n_runs=2, n_particles=5000, negative_control=True
     )
     assert not bad.passed
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+def test_zakai_report_same_on_one_and_two_cpus(ou_scenario, cpus, negative_control):
+    # three replicate runs: two CPUs run the second and third on a forked
+    # worker, and the report equals the one-CPU report; one run stays in
+    # this process
+    reports, forks = {}, {}
+    for n in (1, 2):
+        forks[n] = cpus(n)
+        reports[n] = [
+            diagnostics.check_zakai(ou_scenario, n_runs=n_runs, n_particles=2000, negative_control=negative_control).to_dict()
+            for n_runs in (3, 1)
+        ]
+    assert [len(forks[1]), len(forks[2])] == [0, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert reports[2] == reports[1]
+    assert [row["run"] for row in reports[2][0]["details"]["mass_jump"]["rows"]] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_zakai_mass_jump_fails_on_unusable_se(ou_scenario, monkeypatch):

@@ -1,7 +1,9 @@
 """Path simulation: exactness at events, determinism, schedules, ensembles."""
 
 import dataclasses
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -392,11 +394,13 @@ def test_ensemble_in_tiles_of_7_steps_is_bit_identical(euler_scenarios, monkeypa
             np.testing.assert_array_equal(tiled.x_pre[p], [ev.x_pre for ev in res.events], err_msg=name)
 
 
-def test_ensemble_chunk_holds_one_tile_of_normals(ou_scenario):
+def test_ensemble_chunk_holds_one_tile_of_normals(ou_scenario, cpus):
     # a 4,000-path chunk of 2,000 scalar steps: 64 MB of normals over the
-    # horizon, 8 MB in one tile
+    # horizon, 8 MB in one tile.  tracemalloc sees only this process, so the
+    # run keeps to one CPU and steps the whole chunk here
     import tracemalloc
 
+    cpus(1)
     tracemalloc.start()
     try:
         simulate.run_ensemble(ou_scenario, 4000, checkpoint_times=[1.0])
@@ -404,6 +408,107 @@ def test_ensemble_chunk_holds_one_tile_of_normals(ou_scenario):
     finally:
         tracemalloc.stop()
     assert peak < 24e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# chunks on forked workers
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["ou_kalman", "m2_constant_matrix"])
+def test_forked_ensemble_equals_one_cpu(euler_scenarios, cpus, name):
+    # 1,500 paths make two shares of 750, so two CPUs fork one worker; every
+    # field equals the one-CPU run's bit for bit
+    from schedfilt import testfns
+
+    scn = euler_scenarios[name]
+    lphi = testfns.diffusion_generator(testfns.battery_function("tanh", scn.m), scn)
+    kwargs = dict(checkpoint_times=[0.4, 1.0, scn.horizon], integrands=[lphi])
+    cpus(1)
+    one = simulate.run_ensemble(scn, 1500, **kwargs)
+    forks = cpus(2)
+    two = simulate.run_ensemble(scn, 1500, **kwargs)
+    assert len(forks) == 1
+    _no_child_left()
+    for field in dataclasses.fields(one):
+        np.testing.assert_array_equal(getattr(two, field.name), getattr(one, field.name), err_msg=field.name)
+    assert one.dy.shape == (1500, 3, scn.n)
+
+
+def test_ensemble_stays_in_process_beside_other_threads(ou_scenario, cpus):
+    # a forked child would hold only the calling thread, so with another
+    # thread alive the chunks run here
+    forks = cpus(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        simulate.run_ensemble(ou_scenario, 1500, checkpoint_times=[1.0])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []
+
+
+@pytest.mark.parametrize("failing", ["all", "caller", "child"])
+def test_forked_blowup_raises_the_serial_error(monkeypatch, cpus, failing):
+    # the x^2 drift: from x0 = 10 every path blows up before the first
+    # event, from x0 = -3 none does over the horizon unless an infinite
+    # mark at t = 0.5 sends it off, here on the caller's share of 1,500
+    # paths (0-749) or the worker's (750-1499).  Either way the error is the
+    # one-CPU run's, and no child outlives the call
+    x0 = 10.0 if failing == "all" else -3.0
+    scn = model.validate(_override_model(PRESETS["ou_kalman"](), drift={"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, x0=(x0,)))
+    draws = simulate._draws
+
+    def infinite_marks(scenario, seed, paths, n_marks):
+        gens, xi, eta = draws(scenario, seed, paths, n_marks)
+        xi[(np.asarray(paths) < 750) == (failing == "caller")] = np.inf
+        return gens, xi, eta
+
+    if failing != "all":
+        monkeypatch.setattr(simulate, "_draws", infinite_marks)
+    kwargs = dict(checkpoint_times=(0.05, 0.25))
+    cpus(1)
+    with pytest.raises(NumericalBlowup) as serial:
+        simulate.run_ensemble(scn, 1500, **kwargs)
+    forks = cpus(2)
+    with pytest.raises(NumericalBlowup) as forked:
+        simulate.run_ensemble(scn, 1500, **kwargs)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value)
+    assert str(serial.value) == ("state became non-finite in (0.05, 0.25]" if failing == "all" else "state became non-finite in (0.5, 1]")
+    _no_child_left()
+
+
+def test_fork_map_keeps_item_order_and_the_first_error():
+    # three groups of 0-1, 2-3 and 4-5: results come back in item order; of
+    # several failing items the first raises, with its own type and message.
+    # A worker that dies without a reply, or whose error cannot be pickled,
+    # still raises a typed error naming what happened
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fail_from(k, error=ValueError):
+        def fn(i):
+            if i >= k:
+                raise error(f"item {i}")
+            return i * i
+        return fn
+
+    assert simulate._fork_map(fail_from(6), range(6), 3) == [0, 1, 4, 9, 16, 25]
+    for k in (1, 3, 5):
+        with pytest.raises(ValueError, match=rf"^item {k}$"):
+            simulate._fork_map(fail_from(k), range(6), 3)
+    with pytest.raises(ChildProcessError, match="ended without a reply"):
+        simulate._fork_map(lambda i: os._exit(1) if i else i, range(2), 2)
+    with pytest.raises(RuntimeError, match=r"^Local: item 1$"):
+        simulate._fork_map(fail_from(1, Local), range(2), 2)
+    _no_child_left()
 
 
 # ---------------------------------------------------------------------------
